@@ -185,6 +185,10 @@ void ReplayBlocks(const LayerInputs& in,
   gr::core::BlockRolloutRunner runner(&ds, in.split, &trainer, &index, ro);
   gr::rl::PpoOptions ppo = in.rare.ppo;
   ppo.seed = seeds.ppo;
+  // An update cadence of one round or less (cotrain-full's) would end every
+  // replayed round in an update and leave none to time without one.
+  ppo.steps_per_update =
+      std::max(ppo.steps_per_update, 2 * ro.steps_per_episode);
   gr::rl::PpoAgent agent(gr::core::kObservationDim, ppo);
   // A round that ends in a PPO update is left out of core.round_ms: the
   // update is rl.update_ms, so the two add up without double counting.
