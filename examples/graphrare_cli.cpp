@@ -64,6 +64,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -77,7 +78,23 @@ using namespace graphrare;
 
 namespace {
 
-/// Minimal --key=value parser.
+/// Every flag the CLI reads. Anything else on the command line is rejected
+/// before any work starts, so a typo never silently falls back to a default
+/// run.
+const std::set<std::string>& KnownFlags() {
+  static const std::set<std::string> known = {
+      "backbone", "batch-size", "csr-reorder", "d-max", "dataset", "epochs",
+      "fanouts", "iterations", "k-max", "lambda", "lr", "minibatch",
+      "patience", "predict", "rare", "rl-block-fanouts", "rl-block-seeds",
+      "rl-blocks", "rl-entropy-refresh", "rl-partition", "rl-prefetch-depth",
+      "rl-producers", "rl-steps", "sample-replace", "save-artifact",
+      "save-graph", "seed", "serve-artifact", "serve-fanouts", "splits",
+      "telemetry", "topk",
+  };
+  return known;
+}
+
+/// Minimal --key=value parser over KnownFlags().
 class Flags {
  public:
   Flags(int argc, char** argv) {
@@ -89,29 +106,41 @@ class Flags {
       }
       arg = arg.substr(2);
       const size_t eq = arg.find('=');
-      if (eq == std::string::npos) {
-        values_[arg] = "1";  // boolean flag
-      } else {
-        values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+      const std::string key = arg.substr(0, eq);
+      if (KnownFlags().count(key) == 0) {
+        std::fprintf(stderr, "unrecognised argument: --%s\n", key.c_str());
+        std::exit(2);
       }
+      // A bare --flag is boolean.
+      values_[key] = eq == std::string::npos ? "1" : arg.substr(eq + 1);
     }
   }
 
   std::string Get(const std::string& key, const std::string& def) const {
-    const auto it = values_.find(key);
+    const auto it = Find(key);
     return it == values_.end() ? def : it->second;
   }
   double GetDouble(const std::string& key, double def) const {
-    const auto it = values_.find(key);
+    const auto it = Find(key);
     return it == values_.end() ? def : std::atof(it->second.c_str());
   }
   int GetInt(const std::string& key, int def) const {
-    const auto it = values_.find(key);
+    const auto it = Find(key);
     return it == values_.end() ? def : std::atoi(it->second.c_str());
   }
-  bool GetBool(const std::string& key) const { return values_.count(key); }
+  bool GetBool(const std::string& key) const {
+    return Find(key) != values_.end();
+  }
 
  private:
+  /// Reading a flag missing from KnownFlags() is a bug in this file: the
+  /// constructor would have rejected it on the command line.
+  std::map<std::string, std::string>::const_iterator Find(
+      const std::string& key) const {
+    GR_CHECK(KnownFlags().count(key) != 0) << "unregistered flag --" << key;
+    return values_.find(key);
+  }
+
   std::map<std::string, std::string> values_;
 };
 
