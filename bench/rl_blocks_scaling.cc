@@ -1,10 +1,11 @@
 // Block-scoped vs full-graph RL topology optimization scaling. Generates
-// synthetic graphs of increasing size and compares one co-training round of
-// the full-graph TopologyEnv path (observation + rewiring + GNN epochs over
-// the whole adjacency per step) against BlockRolloutRunner episodes on
-// neighbor-sampled blocks (core/block_rollout.h).
+// synthetic graphs of increasing size and compares one co-training round
+// through BlockRolloutRunner on neighbor-sampled blocks (core/
+// block_rollout.h) against the same runner on one identity block (B=1,
+// empty fanouts): the full-graph episodic MDP, whose observation, rewiring
+// and GNN epochs cover the whole adjacency every step.
 //
-// The full-graph path runs only at the smallest size: beyond it a single
+// The full-graph row runs only at the smallest size: beyond it a single
 // episode blows the bench's time budget — per-step cost scales with the
 // global adjacency, which is precisely what the block scheduler removes —
 // so larger sizes run the block path only (the skip is printed and recorded
@@ -49,52 +50,15 @@ struct PathReport {
   double entropy_seconds = 0.0;
   double peak_rss_mib = 0.0;
   double mean_reward = 0.0;
-  int64_t block_nodes = 0;  ///< block path: nodes touched per round
+  int64_t block_nodes = 0;  ///< nodes touched per round
 };
 
-/// One full-graph co-training round: TopologyEnv + PPO, `steps` env steps.
-PathReport RunFullGraph(const data::Dataset& ds, const data::Split& split,
-                        int steps) {
-  Stopwatch entropy_watch;
-  auto index = std::move(entropy::RelativeEntropyIndex::Build(
-                             ds.graph, ds.features, BenchEntropyOptions()))
-                   .value();
-  PathReport report;
-  report.entropy_seconds = entropy_watch.ElapsedSeconds();
-
-  nn::ModelOptions mo;
-  mo.in_features = ds.num_features();
-  mo.hidden = 32;
-  mo.num_classes = ds.num_classes;
-  mo.seed = 7;
-  auto model = nn::MakeModel(nn::BackboneKind::kSage, mo);
-  nn::ClassifierTrainer::Options to;
-  to.adam.lr = 0.01f;
-  to.seed = 7;
-  nn::ClassifierTrainer trainer(model.get(),
-                                nn::LayerInput::Sparse(ds.FeaturesCsr()),
-                                &ds.labels, to);
-
-  core::TopologyEnvOptions eo;
-  eo.gnn_epochs_per_step = 1;
-  core::TopologyEnv env(&ds, &split, &trainer, &index, eo);
-  rl::PpoOptions po;
-  po.steps_per_update = steps;
-  po.seed = 11;
-  rl::PpoAgent agent(core::kObservationDim, po);
-
-  Stopwatch watch;
-  const std::vector<double> rewards = rl::RunAgentOnEnv(&agent, &env, steps);
-  report.seconds_per_round = watch.ElapsedSeconds();
-  for (const double r : rewards) report.mean_reward += r;
-  report.mean_reward /= static_cast<double>(rewards.size());
-  report.peak_rss_mib = PeakRssMiB();
-  return report;
-}
-
-/// One block-scoped round: BlockRolloutRunner episodes on sampled blocks.
-PathReport RunBlocks(const data::Dataset& ds, const data::Split& split,
-                     int steps) {
+/// One co-training round through BlockRolloutRunner: `blocks` episodes of
+/// `steps` env steps on blocks of `seeds_per_block` train seeds sampled
+/// with `fanouts` (empty = the identity block over all nodes).
+PathReport RunRound(const data::Dataset& ds, const data::Split& split,
+                    int steps, int blocks, std::vector<int64_t> fanouts,
+                    int64_t seeds_per_block) {
   Stopwatch entropy_watch;
   auto index = std::move(entropy::RelativeEntropyIndex::Build(
                              ds.graph, ds.features, BenchEntropyOptions()))
@@ -115,9 +79,9 @@ PathReport RunBlocks(const data::Dataset& ds, const data::Split& split,
                                to);
 
   core::BlockRolloutOptions ro;
-  ro.blocks_per_round = 4;
-  ro.seeds_per_block = 64;
-  ro.fanouts = {10, 10};
+  ro.blocks_per_round = blocks;
+  ro.seeds_per_block = seeds_per_block;
+  ro.fanouts = std::move(fanouts);
   ro.steps_per_episode = steps;
   ro.env.gnn_epochs_per_step = 1;
   ro.seed = 21;
@@ -163,7 +127,9 @@ int Main() {
 
     // Block path first so its peak-RSS reading is not inflated by the
     // full-graph pass (ru_maxrss is monotonic across the process).
-    const PathReport blocks = RunBlocks(ds, splits[0], steps);
+    const PathReport blocks = RunRound(ds, splits[0], steps, /*blocks=*/4,
+                                       /*fanouts=*/{10, 10},
+                                       /*seeds_per_block=*/64);
     PrintRow(StrFormat("%lld", static_cast<long long>(n)),
              {"blocks", StrFormat("%.3f", blocks.seconds_per_round),
               StrFormat("%.3f", blocks.entropy_seconds),
@@ -182,7 +148,9 @@ int Main() {
         .Field("block_nodes", blocks.block_nodes);
 
     if (n <= full_graph_max_nodes) {
-      const PathReport full = RunFullGraph(ds, splits[0], steps);
+      const PathReport full = RunRound(ds, splits[0], steps, /*blocks=*/1,
+                                       /*fanouts=*/{},
+                                       /*seeds_per_block=*/n);
       PrintRow("", {"full", StrFormat("%.3f", full.seconds_per_round),
                     StrFormat("%.3f", full.entropy_seconds),
                     StrFormat("%+.4f", full.mean_reward),

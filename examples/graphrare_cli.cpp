@@ -1,13 +1,13 @@
 // Command-line runner: train any backbone with or without GraphRARE on any
 // registry dataset, export telemetry, the optimized graph, and a
-// deployable model artifact — or serve a previously saved artifact.
+// deployable model artifact. Unknown flags are rejected (exit status 2).
 //
-// Usage (training):
+// Usage:
 //   graphrare_cli [--dataset=cornell] [--backbone=gcn] [--rare]
 //                 [--splits=3] [--iterations=20] [--lambda=1.0]
 //                 [--k-max=5] [--d-max=5] [--seed=1] [--lr=0.01]
 //                 [--minibatch] [--fanouts=10,10] [--batch-size=256]
-//                 [--epochs=100] [--sample-replace]
+//                 [--epochs=100] [--patience=20] [--sample-replace]
 //                 [--rl-blocks=4] [--rl-block-fanouts=10,10]
 //                 [--rl-block-seeds=64] [--rl-steps=4]
 //                 [--rl-partition=independent|locality]
@@ -16,23 +16,26 @@
 //                 [--telemetry=out.csv] [--save-graph=out.graph]
 //                 [--save-artifact=model.grare]
 //
-// Usage (serving a saved artifact; no dataset or training involved):
-//   graphrare_cli --serve-artifact=model.grare --predict=0,1,2
-//                 [--topk=3] [--serve-fanouts=10,10] [--seed=1]
-//
 // --seed is the single master seed: it fans out to the dataset generator,
 // splits, entropy candidate sampling, PPO, the neighbor sampler, and the
 // env streams through core::DeriveSeeds, so one number pins the whole run.
 //
-// --rare --rl-blocks=B runs block-scoped co-training: each PPO round
-// rewires B neighbor-sampled blocks (SparRL-style) instead of the full
-// graph. --rl-block-fanouts=full uses whole-graph blocks (the B=1 special
-// case reproduces classic --rare env trajectories); -1 entries mean
-// unlimited fanout. --rl-partition=locality grows BFS seed batches so
-// blocks overlap less; --rl-prefetch-depth=N samples N rounds of blocks
-// ahead of training on --rl-producers threads (0 = inline, same stream
-// either way); --rl-entropy-refresh incrementally re-buckets the entropy
-// index from each round's merged edits.
+// --rare runs paper Algorithm 1 (core::GraphRareTrainer): it finetunes the
+// GNN only when train accuracy improves and scores each graph before
+// finetuning on it. --rare --rl-blocks=B runs block-scoped co-training
+// instead: each PPO round is an episode of the topology MDP on B
+// neighbor-sampled blocks (SparRL-style), finetuning on every step.
+// --rl-block-fanouts=full uses whole-graph blocks, so --rl-blocks=1
+// --rl-block-fanouts=full is the episodic full-graph MDP, not Algorithm 1:
+// the two give different graphs (cornell, --seed=3, other flags default:
+// homophily 0.302 -> 0.322 under --rare, 0.302 -> 0.302 here). Its steps
+// match the full-graph step bitwise only at dropout 0, since the block
+// and full-graph trainers draw dropout from different streams. -1 fanout
+// entries mean unlimited fanout. --rl-partition=locality grows BFS seed
+// batches so blocks overlap less; --rl-prefetch-depth=N samples N rounds
+// of blocks ahead of training on --rl-producers threads (0 = inline, same
+// stream either way); --rl-entropy-refresh incrementally re-buckets the
+// entropy index from each round's merged edits.
 //
 // --csr-reorder relabels the dataset's nodes before anything else sees
 // them (degree = hubs-first degree sort, rcm = reverse Cuthill-McKee), so
@@ -43,9 +46,9 @@
 //
 // --save-artifact packages the last split's co-trained backbone plus its
 // optimized graph (serve::ModelArtifact); it requires --rare since plain
-// baselines train one throwaway model per split. --serve-artifact reloads
-// such a file into a serve::InferenceEngine: exact full-graph inference by
-// default, fanout-bounded sampled inference with --serve-fanouts.
+// baselines train one throwaway model per split. examples/graphrare_serve
+// serves the file: exact full-graph inference by default, fanout-bounded
+// sampled inference with --fanouts.
 //
 // Examples:
 //   ./build/examples/graphrare_cli --dataset=texas --backbone=sage --rare
@@ -56,8 +59,7 @@
 //       --rl-blocks=8 --rl-block-fanouts=10,10 --rl-block-seeds=128
 //   ./build/examples/graphrare_cli --dataset=cornell --rare
 //       --save-artifact=model.grare
-//   ./build/examples/graphrare_cli --serve-artifact=model.grare
-//       --predict=0,5,17 --topk=3
+//   ./build/examples/graphrare_serve --artifact=model.grare --topk=3
 
 #include <algorithm>
 #include <cstdio>
@@ -85,11 +87,10 @@ const std::set<std::string>& KnownFlags() {
   static const std::set<std::string> known = {
       "backbone", "batch-size", "csr-reorder", "d-max", "dataset", "epochs",
       "fanouts", "iterations", "k-max", "lambda", "lr", "minibatch",
-      "patience", "predict", "rare", "rl-block-fanouts", "rl-block-seeds",
-      "rl-blocks", "rl-entropy-refresh", "rl-partition", "rl-prefetch-depth",
+      "patience", "rare", "rl-block-fanouts", "rl-block-seeds", "rl-blocks",
+      "rl-entropy-refresh", "rl-partition", "rl-prefetch-depth",
       "rl-producers", "rl-steps", "sample-replace", "save-artifact",
-      "save-graph", "seed", "serve-artifact", "serve-fanouts", "splits",
-      "telemetry", "topk",
+      "save-graph", "seed", "splits", "telemetry",
   };
   return known;
 }
@@ -160,22 +161,6 @@ std::vector<int64_t> ParseFanouts(const std::string& spec) {
   return fanouts;
 }
 
-/// Parses "0,5,17" into a node-id list (non-negative integers).
-std::vector<int64_t> ParseNodeIds(const std::string& spec) {
-  std::vector<int64_t> ids;
-  if (!ParseInt64List(spec, &ids)) {
-    std::fprintf(stderr, "invalid node id list: %s\n", spec.c_str());
-    std::exit(2);
-  }
-  for (const int64_t id : ids) {
-    if (id < 0) {
-      std::fprintf(stderr, "invalid node id list: %s\n", spec.c_str());
-      std::exit(2);
-    }
-  }
-  return ids;
-}
-
 /// Applies --csr-reorder: relabels the dataset's nodes (graph, feature
 /// rows, labels) with a locality-improving permutation before splits or
 /// training see it, so every downstream CSR — adjacency operators and the
@@ -215,88 +200,40 @@ void MaybeReorderDataset(const Flags& flags, data::Dataset* dataset) {
               static_cast<long long>(n));
 }
 
-/// --serve-artifact mode: load, predict, print. Returns the process exit
-/// code.
-int ServeArtifact(const Flags& flags) {
-  const std::string artifact_path = flags.Get("serve-artifact", "");
-  serve::EngineOptions engine_opts;
-  const std::string fanout_spec = flags.Get("serve-fanouts", "");
-  if (!fanout_spec.empty()) {
-    engine_opts.fanouts = ParseFanouts(fanout_spec);
-  }
-  engine_opts.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-
-  auto engine_or =
-      serve::InferenceEngine::LoadFrom(artifact_path, engine_opts);
-  if (!engine_or.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 engine_or.status().ToString().c_str());
-    return 1;
-  }
-  const serve::InferenceEngine& engine = *engine_or;
-  const serve::ModelArtifact& art = engine.artifact();
-  std::printf("artifact=%s dataset=%s backbone=%s nodes=%lld classes=%lld "
-              "mode=%s\n",
-              artifact_path.c_str(), art.dataset_name.c_str(),
-              nn::BackboneName(art.backbone),
-              static_cast<long long>(engine.num_nodes()),
-              static_cast<long long>(engine.num_classes()),
-              engine.full_graph_mode() ? "full-graph" : "sampled");
-
-  const std::string predict_spec = flags.Get("predict", "");
-  if (predict_spec.empty()) {
-    std::fprintf(stderr,
-                 "error: --serve-artifact needs --predict=ID,ID,...\n");
-    return 2;
-  }
-  const std::vector<int64_t> ids = ParseNodeIds(predict_spec);
-  const int topk = flags.GetInt("topk", 1);
-
-  auto preds_or = engine.Predict(ids);
-  if (!preds_or.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 preds_or.status().ToString().c_str());
-    return 1;
-  }
-  for (const serve::Prediction& p : preds_or.value()) {
-    std::printf("node %lld -> class %lld",
-                static_cast<long long>(p.node),
-                static_cast<long long>(p.predicted_class));
-    if (topk > 1) {
-      // Rank the probabilities already in hand: a fresh engine.TopK call
-      // would re-sample in sampled mode and could disagree with p.
-      std::printf("  top%d:", topk);
-      for (const auto& [cls, prob] : serve::TopKOf(p, topk)) {
-        std::printf(" %lld=%.4f", static_cast<long long>(cls), prob);
-      }
-    } else {
-      std::printf("  p=%.4f",
-                  p.probabilities[static_cast<size_t>(p.predicted_class)]);
+/// Writes the last split's outputs that were asked for: --telemetry CSV,
+/// --save-graph, --save-artifact. Returns the process exit code.
+int WriteRunOutputs(const Flags& flags, const core::GraphRareResult& run,
+                    const data::Dataset& dataset) {
+  const std::string telemetry_path = flags.Get("telemetry", "");
+  if (!telemetry_path.empty()) {
+    const Status s = core::WriteTelemetryCsv(run, telemetry_path);
+    if (!s.ok()) {
+      std::fprintf(stderr, "telemetry: %s\n", s.ToString().c_str());
+      return 1;
     }
-    std::printf("\n");
+    std::printf("telemetry written to %s\n", telemetry_path.c_str());
+  }
+  const std::string graph_path = flags.Get("save-graph", "");
+  if (!graph_path.empty()) {
+    const Status s = graph::SaveGraph(run.best_graph, graph_path);
+    if (!s.ok()) {
+      std::fprintf(stderr, "save-graph: %s\n", s.ToString().c_str());
+      return 1;
+    }
+    std::printf("optimized graph written to %s\n", graph_path.c_str());
+  }
+  const std::string artifact_path = flags.Get("save-artifact", "");
+  if (!artifact_path.empty()) {
+    auto artifact_or = run.ExportArtifact(dataset);
+    const Status s = artifact_or.ok() ? artifact_or->Save(artifact_path)
+                                      : artifact_or.status();
+    if (!s.ok()) {
+      std::fprintf(stderr, "save-artifact: %s\n", s.ToString().c_str());
+      return 1;
+    }
+    std::printf("model artifact written to %s\n", artifact_path.c_str());
   }
   return 0;
-}
-
-/// Saves the last run's artifact if --save-artifact was given. Returns
-/// false on failure.
-bool MaybeSaveArtifact(const Flags& flags, const core::GraphRareResult& run,
-                       const data::Dataset& dataset) {
-  const std::string path = flags.Get("save-artifact", "");
-  if (path.empty()) return true;
-  auto artifact_or = run.ExportArtifact(dataset);
-  if (!artifact_or.ok()) {
-    std::fprintf(stderr, "save-artifact: %s\n",
-                 artifact_or.status().ToString().c_str());
-    return false;
-  }
-  const Status s = artifact_or->Save(path);
-  if (!s.ok()) {
-    std::fprintf(stderr, "save-artifact: %s\n", s.ToString().c_str());
-    return false;
-  }
-  std::printf("model artifact written to %s\n", path.c_str());
-  return true;
 }
 
 }  // namespace
@@ -304,11 +241,6 @@ bool MaybeSaveArtifact(const Flags& flags, const core::GraphRareResult& run,
 int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
   const Flags flags(argc, argv);
-
-  // Serve mode: no dataset, no training — just artifact + queries.
-  if (!flags.Get("serve-artifact", "").empty()) {
-    return ServeArtifact(flags);
-  }
 
   const std::string dataset_name = flags.Get("dataset", "cornell");
   const std::string backbone_name = flags.Get("backbone", "gcn");
@@ -442,26 +374,7 @@ int main(int argc, char** argv) {
                 agg.mean_entropy_seconds,
                 static_cast<long long>(agg.last_run.initial_edges),
                 static_cast<long long>(agg.last_run.final_edges));
-    const std::string telemetry_path = flags.Get("telemetry", "");
-    if (!telemetry_path.empty()) {
-      const Status s = core::WriteTelemetryCsv(agg.last_run, telemetry_path);
-      if (!s.ok()) {
-        std::fprintf(stderr, "telemetry: %s\n", s.ToString().c_str());
-        return 1;
-      }
-      std::printf("telemetry written to %s\n", telemetry_path.c_str());
-    }
-    const std::string graph_path = flags.Get("save-graph", "");
-    if (!graph_path.empty()) {
-      const Status s = graph::SaveGraph(agg.last_run.best_graph, graph_path);
-      if (!s.ok()) {
-        std::fprintf(stderr, "save-graph: %s\n", s.ToString().c_str());
-        return 1;
-      }
-      std::printf("optimized graph written to %s\n", graph_path.c_str());
-    }
-    if (!MaybeSaveArtifact(flags, agg.last_run, dataset)) return 1;
-    return 0;
+    return WriteRunOutputs(flags, agg.last_run, dataset);
   }
 
   const auto agg = core::RunGraphRare(dataset, splits, opts);
@@ -471,25 +384,5 @@ int main(int argc, char** argv) {
   std::printf("homophily: %.3f -> %.3f, entropy build %.3fs\n",
               agg.mean_initial_homophily, agg.mean_final_homophily,
               agg.mean_entropy_seconds);
-
-  const std::string telemetry_path = flags.Get("telemetry", "");
-  if (!telemetry_path.empty()) {
-    const Status s = core::WriteTelemetryCsv(agg.last_run, telemetry_path);
-    if (!s.ok()) {
-      std::fprintf(stderr, "telemetry: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("telemetry written to %s\n", telemetry_path.c_str());
-  }
-  const std::string graph_path = flags.Get("save-graph", "");
-  if (!graph_path.empty()) {
-    const Status s = graph::SaveGraph(agg.last_run.best_graph, graph_path);
-    if (!s.ok()) {
-      std::fprintf(stderr, "save-graph: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("optimized graph written to %s\n", graph_path.c_str());
-  }
-  if (!MaybeSaveArtifact(flags, agg.last_run, dataset)) return 1;
-  return 0;
+  return WriteRunOutputs(flags, agg.last_run, dataset);
 }

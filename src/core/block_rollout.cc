@@ -5,20 +5,23 @@
 #include "common/stopwatch.h"
 #include "nn/metrics.h"
 #include "core/observation.h"
+#include "core/telemetry.h"
 #include "core/topology_optimizer.h"
 
 namespace graphrare {
 namespace core {
 
-Result<serve::ModelArtifact> BlockCoTrainResult::ExportArtifact(
-    const data::Dataset& dataset) const {
-  if (model == nullptr) {
-    return Status::FailedPrecondition(
-        "result holds no trained model (was it produced by "
-        "RunBlockCoTraining?)");
+Status TopologyEnvOptions::Validate() const {
+  if (k_max < 0 || d_max < 0) {
+    return Status::InvalidArgument("k_max/d_max must be non-negative");
   }
-  return PackageArtifact(*model, backbone, model_options, seed, best_graph,
-                         dataset);
+  if (gnn_epochs_per_step < 0) {
+    return Status::InvalidArgument("gnn_epochs_per_step must be >= 0");
+  }
+  if (reward.lambda_r < 0.0) {
+    return Status::InvalidArgument("reward lambda_r must be non-negative");
+  }
+  return entropy.Validate();
 }
 
 Status BlockRolloutOptions::Validate() const {
@@ -224,39 +227,24 @@ BlockRolloutRunner::RoundStats BlockRolloutRunner::RunRound(
 
 // ---- RunBlockCoTraining ----------------------------------------------------
 
-BlockCoTrainResult RunBlockCoTraining(const data::Dataset& dataset,
-                                      const data::Split& split,
-                                      const GraphRareOptions& options,
-                                      const BlockRolloutOptions& rollout_in) {
+GraphRareResult RunBlockCoTraining(const data::Dataset& dataset,
+                                   const data::Split& split,
+                                   const GraphRareOptions& options,
+                                   const BlockRolloutOptions& rollout_in) {
   GR_CHECK_OK(options.Validate());
   const DerivedSeeds seeds = DeriveSeeds(options.seed);
   Rng run_rng(seeds.run);
 
-  BlockCoTrainResult result;
+  GraphRareResult result;
+  result.initial_homophily = dataset.Homophily();
   result.initial_edges = dataset.graph.num_edges();
 
   // Entropy index on G_0, computed once (Algorithm 1, lines 1-6).
-  Stopwatch entropy_watch;
-  entropy::EntropyOptions entropy_opts = options.entropy;
-  entropy_opts.seed = seeds.entropy;
-  auto index_or = entropy::RelativeEntropyIndex::Build(
-      dataset.graph, dataset.features, entropy_opts);
-  GR_CHECK(index_or.ok()) << index_or.status().ToString();
-  entropy::RelativeEntropyIndex index = std::move(index_or).value();
-  if (options.sequence_mode == SequenceMode::kShuffled) {
-    index.ShuffleSequences(&run_rng);
-  }
-  result.entropy_build_seconds = entropy_watch.ElapsedSeconds();
+  entropy::RelativeEntropyIndex index = BuildRunIndex(
+      dataset, options, &run_rng, &result.entropy_build_seconds);
 
   Stopwatch train_watch;
-  nn::ModelOptions model_opts;
-  model_opts.in_features = dataset.num_features();
-  model_opts.hidden = options.hidden;
-  model_opts.num_classes = dataset.num_classes;
-  model_opts.num_layers = options.num_layers;
-  model_opts.dropout = options.dropout;
-  model_opts.gat_heads = options.gat_heads;
-  model_opts.seed = options.seed;
+  const nn::ModelOptions model_opts = ModelOptionsFor(dataset, options);
   auto model = nn::MakeModel(options.backbone, model_opts);
 
   nn::MiniBatchTrainer::Options trainer_opts;
@@ -273,8 +261,6 @@ BlockCoTrainResult RunBlockCoTraining(const data::Dataset& dataset,
   rollout.env.k_max = options.k_max;
   rollout.env.d_max = options.d_max;
   rollout.env.reward = options.reward;
-  rollout.env.entropy = entropy_opts;
-  rollout.env.seed = seeds.env;
   GR_CHECK_OK(rollout.Validate());
 
   // Mini-batch pretraining on G_0 so reward deltas are informative. In
@@ -356,6 +342,7 @@ BlockCoTrainResult RunBlockCoTraining(const data::Dataset& dataset,
       trainer.Evaluate(result.best_graph, split.test).accuracy;
   result.final_edges = result.best_graph.num_edges();
   result.train_seconds = train_watch.ElapsedSeconds();
+  result.final_homophily = result.best_graph.EdgeHomophily(dataset.labels);
 
   // Hand the co-trained backbone (best weights restored) to the caller.
   result.model = std::move(model);

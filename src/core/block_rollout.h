@@ -23,10 +23,12 @@
 //    pretraining, rollout rounds, validation-based model/graph selection.
 //
 // Full-graph mode is the B=1, fanout=infinity special case (empty
-// `fanouts`: the block is graph::FullSubgraph over all nodes) and
-// reproduces the full-graph TopologyEnv trajectory bitwise — same rewards,
-// same rewired edge set, same post-finetune weights (tests/
-// block_rollout_test.cc).
+// `fanouts`: the block is graph::FullSubgraph over all nodes). It is the
+// one full-graph episodic topology MDP: at dropout 0 each step is bitwise
+// the full-graph step (rewire G_0, train an epoch, score Eq. 11 on the
+// train set) — same rewards, rewired edges and post-finetune weights
+// (tests/block_rollout_test.cc). It is not Algorithm 1, which finetunes
+// only when train accuracy improves; that loop is GraphRareTrainer::Run.
 
 #ifndef GRAPHRARE_CORE_BLOCK_ROLLOUT_H_
 #define GRAPHRARE_CORE_BLOCK_ROLLOUT_H_
@@ -43,12 +45,29 @@
 #include "nn/trainer.h"
 #include "rl/env.h"
 #include "core/edit_merger.h"
-#include "core/telemetry.h"
-#include "core/topology_env.h"
+#include "core/reward.h"
 #include "core/trainer.h"
 
 namespace graphrare {
 namespace core {
+
+/// Per-episode MDP knobs of a BlockTopologyEnv.
+struct TopologyEnvOptions {
+  int k_max = 5;
+  int d_max = 5;
+  /// Supervised epochs run on the rewired block every step (the env always
+  /// trains; Algorithm 1's conditional finetuning lives in
+  /// GraphRareTrainer::Run).
+  int gnn_epochs_per_step = 2;
+  RewardOptions reward;
+  entropy::EntropyOptions entropy;
+  uint64_t seed = 1;
+
+  /// Rejects k_max/d_max < 0, negative epoch counts, lambda_r < 0, and
+  /// invalid entropy options (lambda < 0, ...) with a Status instead of
+  /// letting a bad configuration crash mid-episode.
+  Status Validate() const;
+};
 
 /// Configuration of the block rollout scheduler.
 struct BlockRolloutOptions {
@@ -58,7 +77,7 @@ struct BlockRolloutOptions {
   int64_t seeds_per_block = 64;
   /// Sampler fanouts for block extraction (-1 entries = unlimited). Empty
   /// = full-graph mode: every block is the identity subgraph over all
-  /// nodes, today's TopologyEnv semantics.
+  /// nodes.
   std::vector<int64_t> fanouts = {10, 10};
   bool sample_replace = false;
   /// Env steps per episode (each step rewires + finetunes every block).
@@ -183,43 +202,22 @@ class BlockRolloutRunner {
   EditMerger merger_;
 };
 
-/// Outcome of a block-scoped co-training run (mirrors GraphRareResult,
-/// including the retained model + ExportArtifact deployable hand-off).
-struct BlockCoTrainResult {
-  double test_accuracy = 0.0;
-  double best_val_accuracy = 0.0;
-  int64_t initial_edges = 0;
-  int64_t final_edges = 0;
-  double entropy_build_seconds = 0.0;
-  double train_seconds = 0.0;
-  int64_t env_steps = 0;
-  std::vector<double> reward_history;   ///< per-round mean reward
-  std::vector<double> val_acc_history;  ///< per-round merged-graph val acc
-  /// Per-round scheduler + merge-conflict telemetry (also logged live).
-  std::vector<BlockRoundTelemetry> round_telemetry;
-  graph::Graph best_graph;
-
-  /// The co-trained backbone with its best (validation-selected) weights.
-  std::shared_ptr<nn::NodeClassifier> model;
-  nn::BackboneKind backbone = nn::BackboneKind::kGcn;
-  nn::ModelOptions model_options;
-  uint64_t seed = 0;
-
-  /// Packages model + best_graph into a deployable serve::ModelArtifact.
-  Result<serve::ModelArtifact> ExportArtifact(
-      const data::Dataset& dataset) const;
-};
+/// Former name of the block path's result, kept for existing callers.
+using BlockCoTrainResult = GraphRareResult;
 
 /// Runs block-scoped GraphRARE co-training on one split: entropy index on
 /// G_0, mini-batch pretraining, `options.iterations` rollout rounds with
 /// merged-graph validation selection, final test evaluation on the best
-/// graph/weights. The MDP knobs of `rollout.env` (k_max, d_max, reward,
-/// entropy) and every subsystem seed are overridden from `options` so one
+/// graph/weights. The MDP knobs of `rollout.env` (k_max, d_max, reward)
+/// and every subsystem seed are overridden from `options` so one
 /// GraphRareOptions + master seed configures both co-training paths.
-BlockCoTrainResult RunBlockCoTraining(const data::Dataset& dataset,
-                                      const data::Split& split,
-                                      const GraphRareOptions& options,
-                                      const BlockRolloutOptions& rollout);
+/// Fills env_steps, round_telemetry, reward/val histories and both
+/// homophily fields of the result; the per-iteration train-accuracy and
+/// homophily histories stay empty.
+GraphRareResult RunBlockCoTraining(const data::Dataset& dataset,
+                                   const data::Split& split,
+                                   const GraphRareOptions& options,
+                                   const BlockRolloutOptions& rollout);
 
 }  // namespace core
 }  // namespace graphrare

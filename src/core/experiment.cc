@@ -73,6 +73,40 @@ BaselineAggregate AggregateSplitRuns(
   return agg;
 }
 
+/// Shared per-split loop of RunGraphRare and RunGraphRareBlocks: per-split
+/// seed derivation, means over splits, and the last split's full result.
+/// `epochs` is the per-split epoch budget behind seconds_per_epoch.
+GraphRareAggregate AggregateGraphRareRuns(
+    const std::vector<data::Split>& splits, const GraphRareOptions& options,
+    double epochs,
+    const std::function<GraphRareResult(const data::Split&,
+                                        const GraphRareOptions&)>& run_split) {
+  GraphRareAggregate agg;
+  std::vector<double> accs;
+  for (size_t s = 0; s < splits.size(); ++s) {
+    GraphRareOptions per_split = options;
+    per_split.seed = options.seed + 1000 * (s + 1);
+    GraphRareResult result = run_split(splits[s], per_split);
+    accs.push_back(result.test_accuracy);
+    agg.mean_initial_homophily += result.initial_homophily;
+    agg.mean_final_homophily += result.final_homophily;
+    agg.mean_entropy_seconds += result.entropy_build_seconds;
+    agg.mean_train_seconds += result.train_seconds;
+    if (s + 1 == splits.size()) agg.last_run = std::move(result);
+  }
+  const double inv = splits.empty()
+                         ? 0.0
+                         : 1.0 / static_cast<double>(splits.size());
+  agg.accuracy = Aggregate(accs);
+  agg.mean_initial_homophily *= inv;
+  agg.mean_final_homophily *= inv;
+  agg.mean_entropy_seconds *= inv;
+  agg.mean_train_seconds *= inv;
+  agg.seconds_per_epoch =
+      epochs > 0 ? agg.mean_train_seconds / epochs : 0.0;
+  return agg;
+}
+
 }  // namespace
 
 BaselineAggregate RunBackbone(const data::Dataset& dataset,
@@ -148,87 +182,29 @@ BaselineAggregate RunBackboneMiniBatch(const data::Dataset& dataset,
 GraphRareAggregate RunGraphRare(const data::Dataset& dataset,
                                 const std::vector<data::Split>& splits,
                                 const GraphRareOptions& options) {
-  GraphRareAggregate agg;
-  std::vector<double> accs;
-  for (size_t s = 0; s < splits.size(); ++s) {
-    GraphRareOptions per_split = options;
-    per_split.seed = options.seed + 1000 * (s + 1);
-    GraphRareTrainer trainer(&dataset, per_split);
-    GraphRareResult result = trainer.Run(splits[s]);
-    accs.push_back(result.test_accuracy);
-    agg.mean_initial_homophily += result.initial_homophily;
-    agg.mean_final_homophily += result.final_homophily;
-    agg.mean_entropy_seconds += result.entropy_build_seconds;
-    agg.mean_train_seconds += result.train_seconds;
-    if (s + 1 == splits.size()) agg.last_run = std::move(result);
-  }
-  const double inv = splits.empty()
-                         ? 0.0
-                         : 1.0 / static_cast<double>(splits.size());
-  agg.accuracy = Aggregate(accs);
-  agg.mean_initial_homophily *= inv;
-  agg.mean_final_homophily *= inv;
-  agg.mean_entropy_seconds *= inv;
-  agg.mean_train_seconds *= inv;
   // Rough per-epoch figure for Table VI: iterations + pretrain epochs.
   const double epochs = static_cast<double>(options.pretrain_epochs +
                                             options.iterations *
                                                 (1 + options.finetune_epochs));
-  agg.seconds_per_epoch =
-      epochs > 0 ? agg.mean_train_seconds / epochs : 0.0;
-  return agg;
+  return AggregateGraphRareRuns(
+      splits, options, epochs,
+      [&](const data::Split& split, const GraphRareOptions& per_split) {
+        return GraphRareTrainer(&dataset, per_split).Run(split);
+      });
 }
 
 GraphRareAggregate RunGraphRareBlocks(const data::Dataset& dataset,
                                       const std::vector<data::Split>& splits,
                                       const GraphRareOptions& options,
                                       const BlockRolloutOptions& rollout) {
-  GraphRareAggregate agg;
-  std::vector<double> accs;
-  for (size_t s = 0; s < splits.size(); ++s) {
-    GraphRareOptions per_split = options;
-    per_split.seed = options.seed + 1000 * (s + 1);
-    BlockCoTrainResult result =
-        RunBlockCoTraining(dataset, splits[s], per_split, rollout);
-    accs.push_back(result.test_accuracy);
-    agg.mean_initial_homophily += dataset.Homophily();
-    agg.mean_final_homophily +=
-        result.best_graph.EdgeHomophily(dataset.labels);
-    agg.mean_entropy_seconds += result.entropy_build_seconds;
-    agg.mean_train_seconds += result.train_seconds;
-    if (s + 1 == splits.size()) {
-      // Telemetry in GraphRareResult terms (Fig. 6 consumers).
-      agg.last_run.test_accuracy = result.test_accuracy;
-      agg.last_run.best_val_accuracy = result.best_val_accuracy;
-      agg.last_run.initial_homophily = dataset.Homophily();
-      agg.last_run.final_homophily =
-          result.best_graph.EdgeHomophily(dataset.labels);
-      agg.last_run.initial_edges = result.initial_edges;
-      agg.last_run.final_edges = result.final_edges;
-      agg.last_run.entropy_build_seconds = result.entropy_build_seconds;
-      agg.last_run.train_seconds = result.train_seconds;
-      agg.last_run.reward_history = std::move(result.reward_history);
-      agg.last_run.val_acc_history = std::move(result.val_acc_history);
-      agg.last_run.best_graph = std::move(result.best_graph);
-      agg.last_run.model = std::move(result.model);
-      agg.last_run.backbone = result.backbone;
-      agg.last_run.model_options = result.model_options;
-      agg.last_run.seed = result.seed;
-    }
-  }
-  const double inv =
-      splits.empty() ? 0.0 : 1.0 / static_cast<double>(splits.size());
-  agg.accuracy = Aggregate(accs);
-  agg.mean_initial_homophily *= inv;
-  agg.mean_final_homophily *= inv;
-  agg.mean_entropy_seconds *= inv;
-  agg.mean_train_seconds *= inv;
   const double epochs = static_cast<double>(
       options.pretrain_epochs +
       options.iterations * rollout.steps_per_episode);
-  agg.seconds_per_epoch =
-      epochs > 0 ? agg.mean_train_seconds / epochs : 0.0;
-  return agg;
+  return AggregateGraphRareRuns(
+      splits, options, epochs,
+      [&](const data::Split& split, const GraphRareOptions& per_split) {
+        return RunBlockCoTraining(dataset, split, per_split, rollout);
+      });
 }
 
 bool BenchFullScale() {

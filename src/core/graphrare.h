@@ -55,7 +55,6 @@
 #include "core/observation.h"
 #include "core/reward.h"
 #include "core/rewiring_baselines.h"
-#include "core/topology_env.h"
 #include "core/topology_optimizer.h"
 #include "core/topology_state.h"
 #include "core/trainer.h"

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/edit_merger.h"
 #include "core/trainer.h"
 
 namespace graphrare {
@@ -25,19 +24,6 @@ Status WriteTelemetryCsv(const GraphRareResult& result,
 
 /// Formats the same content into a string (unit tests, stdout piping).
 std::string TelemetryCsvString(const GraphRareResult& result);
-
-/// One block-rollout round's worth of scheduler + merge telemetry.
-struct BlockRoundTelemetry {
-  int round = 0;
-  int num_blocks = 0;
-  /// Sum of block node counts this round.
-  int64_t block_nodes = 0;
-  /// EditMerger conflict accounting for the round (see ConflictStats).
-  ConflictStats conflicts;
-  double mean_reward = 0.0;
-  /// Full-graph validation accuracy on the merged topology.
-  double val_accuracy = 0.0;
-};
 
 /// One-line human-readable summary of a round.
 std::string FormatBlockRound(const BlockRoundTelemetry& t);

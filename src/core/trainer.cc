@@ -60,7 +60,7 @@ Result<serve::ModelArtifact> GraphRareResult::ExportArtifact(
   if (model == nullptr) {
     return Status::FailedPrecondition(
         "result holds no trained model (was it produced by "
-        "GraphRareTrainer::Run?)");
+        "GraphRareTrainer::Run or RunBlockCoTraining?)");
   }
   return PackageArtifact(*model, backbone, model_options, seed, best_graph,
                          dataset);
@@ -80,6 +80,37 @@ DerivedSeeds DeriveSeeds(uint64_t master) {
   s.splits = master + 100;
   s.partition = master * 211 + 41;
   return s;
+}
+
+nn::ModelOptions ModelOptionsFor(const data::Dataset& dataset,
+                                 const GraphRareOptions& options) {
+  nn::ModelOptions mo;
+  mo.in_features = dataset.num_features();
+  mo.hidden = options.hidden;
+  mo.num_classes = dataset.num_classes;
+  mo.num_layers = options.num_layers;
+  mo.dropout = options.dropout;
+  mo.gat_heads = options.gat_heads;
+  mo.seed = options.seed;
+  return mo;
+}
+
+entropy::RelativeEntropyIndex BuildRunIndex(const data::Dataset& dataset,
+                                            const GraphRareOptions& options,
+                                            Rng* run_rng, double* seconds) {
+  GR_CHECK(run_rng != nullptr && seconds != nullptr);
+  Stopwatch watch;
+  entropy::EntropyOptions entropy_opts = options.entropy;
+  entropy_opts.seed = DeriveSeeds(options.seed).entropy;
+  auto index_or = entropy::RelativeEntropyIndex::Build(
+      dataset.graph, dataset.features, entropy_opts);
+  GR_CHECK(index_or.ok()) << index_or.status().ToString();
+  entropy::RelativeEntropyIndex index = std::move(index_or).value();
+  if (options.sequence_mode == SequenceMode::kShuffled) {
+    index.ShuffleSequences(run_rng);
+  }
+  *seconds = watch.ElapsedSeconds();
+  return index;
 }
 
 Status MiniBatchOptions::Validate() const {
@@ -178,30 +209,12 @@ GraphRareResult GraphRareTrainer::Run(const data::Split& split) {
   result.initial_edges = g0.num_edges();
 
   // --- Node relative entropy, computed once (Algorithm 1, lines 1-6). ---
-  Stopwatch entropy_watch;
-  entropy::EntropyOptions entropy_opts = options_.entropy;
-  entropy_opts.seed = seeds.entropy;
-  auto index_result =
-      entropy::RelativeEntropyIndex::Build(g0, dataset_->features,
-                                           entropy_opts);
-  GR_CHECK(index_result.ok()) << index_result.status().ToString();
-  index_ = std::make_unique<entropy::RelativeEntropyIndex>(
-      std::move(index_result).value());
-  if (options_.sequence_mode == SequenceMode::kShuffled) {
-    index_->ShuffleSequences(&run_rng);
-  }
-  result.entropy_build_seconds = entropy_watch.ElapsedSeconds();
+  index_ = std::make_unique<entropy::RelativeEntropyIndex>(BuildRunIndex(
+      *dataset_, options_, &run_rng, &result.entropy_build_seconds));
 
   // --- Backbone + supervised trainer. ---
   Stopwatch train_watch;
-  nn::ModelOptions model_opts;
-  model_opts.in_features = dataset_->num_features();
-  model_opts.hidden = options_.hidden;
-  model_opts.num_classes = dataset_->num_classes;
-  model_opts.num_layers = options_.num_layers;
-  model_opts.dropout = options_.dropout;
-  model_opts.gat_heads = options_.gat_heads;
-  model_opts.seed = options_.seed;
+  const nn::ModelOptions model_opts = ModelOptionsFor(*dataset_, options_);
   auto model = nn::MakeModel(options_.backbone, model_opts);
 
   nn::ClassifierTrainer::Options trainer_opts;

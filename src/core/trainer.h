@@ -19,6 +19,7 @@
 #include "nn/trainer.h"
 #include "rl/ppo.h"
 #include "serve/artifact.h"
+#include "core/edit_merger.h"
 #include "core/reward.h"
 #include "core/topology_optimizer.h"
 
@@ -104,11 +105,38 @@ Result<serve::ModelArtifact> PackageArtifact(
     const nn::ModelOptions& model_options, uint64_t seed,
     const graph::Graph& graph, const data::Dataset& dataset);
 
+/// Builds `options`' backbone configuration for `dataset` (input width and
+/// class count from the data, the rest from the options, seeded with the
+/// master seed). Both co-training paths construct their model from it.
+nn::ModelOptions ModelOptionsFor(const data::Dataset& dataset,
+                                 const GraphRareOptions& options);
+
+/// Algorithm 1, lines 1-6: the relative-entropy index on G_0, seeded from
+/// DeriveSeeds(options.seed).entropy and, under SequenceMode::kShuffled,
+/// shuffled with `run_rng`. Stores the wall time in `*seconds`.
+entropy::RelativeEntropyIndex BuildRunIndex(const data::Dataset& dataset,
+                                            const GraphRareOptions& options,
+                                            Rng* run_rng, double* seconds);
+
+/// One block-rollout round's worth of scheduler + merge telemetry.
+struct BlockRoundTelemetry {
+  int round = 0;
+  int num_blocks = 0;
+  /// Sum of block node counts this round.
+  int64_t block_nodes = 0;
+  /// EditMerger conflict accounting for the round (see ConflictStats).
+  ConflictStats conflicts;
+  double mean_reward = 0.0;
+  /// Full-graph validation accuracy on the merged topology.
+  double val_accuracy = 0.0;
+};
+
 /// Everything a run reports (feeds Tables III-VI and Figs. 5-7), plus the
 /// deployable outcome: the co-trained backbone with its best
 /// (validation-selected) weights and the graph it was selected on. The
 /// model+graph pair is the product of a GraphRARE run — ExportArtifact
-/// packages it for serve::InferenceEngine.
+/// packages it for serve::InferenceEngine. Both GraphRareTrainer::Run and
+/// RunBlockCoTraining return it; each fills the telemetry its loop has.
 struct GraphRareResult {
   double test_accuracy = 0.0;
   double best_val_accuracy = 0.0;
@@ -119,11 +147,17 @@ struct GraphRareResult {
   double entropy_build_seconds = 0.0;
   double train_seconds = 0.0;
 
-  // Per-iteration telemetry (Fig. 6).
+  // Per-iteration telemetry (Fig. 6). The block path records one entry
+  // per round in reward_history (mean reward) and val_acc_history only.
   std::vector<double> train_acc_history;
   std::vector<double> val_acc_history;
   std::vector<double> homophily_history;
   std::vector<double> reward_history;
+
+  // Block path only: env steps taken and per-round scheduler and
+  // merge-conflict telemetry (also logged live).
+  int64_t env_steps = 0;
+  std::vector<BlockRoundTelemetry> round_telemetry;
 
   graph::Graph best_graph;
 

@@ -5,25 +5,6 @@
 namespace graphrare {
 namespace rl {
 
-std::vector<double> RunAgentOnEnv(PpoAgent* agent, Env* env, int steps) {
-  GR_CHECK(agent != nullptr && env != nullptr);
-  std::vector<double> rewards;
-  rewards.reserve(static_cast<size_t>(steps));
-  tensor::Tensor obs = env->Reset();
-  for (int t = 0; t < steps; ++t) {
-    const ActionSample action = agent->Act(obs);
-    tensor::Tensor next_obs;
-    const double reward = env->Step(action, &next_obs);
-    agent->StoreReward(reward);
-    rewards.push_back(reward);
-    if (agent->ReadyToUpdate()) {
-      agent->Update(next_obs);
-    }
-    obs = std::move(next_obs);
-  }
-  return rewards;
-}
-
 namespace {
 
 /// Row-concatenates per-env observation matrices (all share obs_dim).

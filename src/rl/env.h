@@ -1,9 +1,9 @@
 // Copyright 2026 The GraphRARE Authors.
 //
-// Generic environment interface for the multi-discrete topology MDP. The
-// GraphRARE co-training loop drives PpoAgent directly (Algorithm 1), but
-// the interface lets the agent be reused on other environments (tests use a
-// synthetic bandit-style env to validate learning).
+// Generic environment interface for the multi-discrete topology MDP and
+// its one driver. GraphRareTrainer::Run drives PpoAgent directly
+// (Algorithm 1); core::BlockTopologyEnv implements the interface, and tests
+// use a synthetic bandit-style env to validate learning.
 
 #ifndef GRAPHRARE_RL_ENV_H_
 #define GRAPHRARE_RL_ENV_H_
@@ -31,18 +31,15 @@ class Env {
   virtual int64_t num_components() const = 0;
 };
 
-/// Runs `steps` agent-environment interactions with PPO updates whenever the
-/// rollout buffer fills. Returns the sequence of rewards (telemetry).
-std::vector<double> RunAgentOnEnv(PpoAgent* agent, Env* env, int steps);
-
 /// Lockstep-batched episode driver for externally constructed env sets
 /// (e.g. one env per sampled subgraph block): resets every env, then for
 /// `steps` iterations row-concatenates the observations, samples ONE action
 /// for the combined rows (a single policy forward for the whole batch),
 /// splits the action back per env, and stores the mean env reward as the
 /// transition reward. PPO updates trigger on the shared rollout buffer as
-/// usual. With a single env this reproduces RunAgentOnEnv step-for-step,
-/// bitwise. Returns the per-step mean rewards.
+/// usual. With a single env this is the plain act -> step -> store-reward
+/// loop, updating on the next observation. Returns the per-step mean
+/// rewards.
 std::vector<double> RunAgentOnBatchedEnvs(PpoAgent* agent,
                                           const std::vector<Env*>& envs,
                                           int steps);

@@ -6,8 +6,11 @@
 //    deterministically (block-order-invariant for disjoint blocks).
 //  * Full-graph mode is the B=1/full-fanout special case: a
 //    BlockTopologyEnv over the identity block reproduces the full-graph
-//    TopologyEnv episode BITWISE (same rewards, same rewired edge set,
-//    same post-finetune weights) — scripted actions and PPO-driven alike.
+//    step written out from public calls (full_graph_reference.h) BITWISE
+//    (same rewards, observations, rewired edge set, post-finetune
+//    weights) — scripted actions and PPO-driven alike.
+//  * RunGraphRareBlocks hands back the block path's telemetry in the
+//    shared GraphRareResult.
 //  * End-to-end: block-scoped co-training completes in seconds on a
 //    10k-node graph, a scale past the rl_blocks_scaling bench's
 //    full-graph-episode cutoff (full-graph per-step cost grows with the
@@ -18,6 +21,7 @@
 #include <cmath>
 
 #include "core/graphrare.h"
+#include "full_graph_reference.h"
 
 namespace graphrare {
 namespace {
@@ -28,6 +32,7 @@ using core::BlockTopologyEnv;
 using core::EditMerger;
 using core::NodeEdits;
 using core::TopologyEnvOptions;
+using testing_ref::FullGraphReference;
 
 data::Dataset MakeSparseDataset(uint64_t seed) {
   data::GeneratorOptions o;
@@ -279,7 +284,7 @@ nn::ModelOptions NoDropoutOptions(const data::Dataset& ds, uint64_t seed) {
   return mo;
 }
 
-TEST(BlockEnvEquivalenceTest, ScriptedFullBlockEpisodeMatchesTopologyEnv) {
+TEST(BlockEnvEquivalenceTest, ScriptedFullBlockEpisodeMatchesFullGraph) {
   data::Dataset ds = MakeSparseDataset(15);
   data::SplitOptions so;
   so.num_splits = 1;
@@ -291,7 +296,7 @@ TEST(BlockEnvEquivalenceTest, ScriptedFullBlockEpisodeMatchesTopologyEnv) {
   eo.d_max = 2;
   eo.gnn_epochs_per_step = 1;
 
-  // Full-graph reference: TopologyEnv + ClassifierTrainer.
+  // Full-graph reference: the written-out step + ClassifierTrainer.
   auto full_model = nn::MakeModel(nn::BackboneKind::kSage,
                                   NoDropoutOptions(ds, 101));
   nn::ClassifierTrainer::Options full_topts;
@@ -299,7 +304,7 @@ TEST(BlockEnvEquivalenceTest, ScriptedFullBlockEpisodeMatchesTopologyEnv) {
   nn::ClassifierTrainer full_trainer(
       full_model.get(), nn::LayerInput::Sparse(ds.FeaturesCsr()),
       &ds.labels, full_topts);
-  core::TopologyEnv full_env(&ds, &splits[0], &full_trainer, &index, eo);
+  FullGraphReference full_env(&ds, &splits[0], &full_trainer, &index, eo);
 
   // Block path: identity block + MiniBatchTrainer, same model seed.
   auto mb_model = nn::MakeModel(nn::BackboneKind::kSage,
@@ -361,7 +366,7 @@ TEST(BlockEnvEquivalenceTest, PpoDrivenRunnerB1ReproducesFullGraphRollout) {
   po.seed = 19;
   const int steps = 6;
 
-  // Reference: generic single-env loop on the full-graph TopologyEnv.
+  // Reference: a plain PPO loop over the written-out full-graph step.
   auto full_model = nn::MakeModel(nn::BackboneKind::kSage,
                                   NoDropoutOptions(ds, 7));
   nn::ClassifierTrainer::Options full_topts;
@@ -369,10 +374,10 @@ TEST(BlockEnvEquivalenceTest, PpoDrivenRunnerB1ReproducesFullGraphRollout) {
   nn::ClassifierTrainer full_trainer(
       full_model.get(), nn::LayerInput::Sparse(ds.FeaturesCsr()),
       &ds.labels, full_topts);
-  core::TopologyEnv full_env(&ds, &splits[0], &full_trainer, &index, eo);
+  FullGraphReference full_env(&ds, &splits[0], &full_trainer, &index, eo);
   rl::PpoAgent full_agent(core::kObservationDim, po);
   const std::vector<double> full_rewards =
-      rl::RunAgentOnEnv(&full_agent, &full_env, steps);
+      testing_ref::RunPpoOnReference(&full_agent, &full_env, steps);
 
   // Block path: B=1, empty fanouts (identity block), one round.
   auto mb_model = nn::MakeModel(nn::BackboneKind::kSage,
@@ -455,8 +460,8 @@ TEST(BlockRolloutRunnerTest, SampledBlocksStayLocalAndMerge) {
 }
 
 TEST(BlockRolloutEndToEndTest, CoTrainsOnTenThousandNodeGraph) {
-  // 10k nodes: the rl_blocks_scaling bench caps full-graph TopologyEnv
-  // episodes at 2k for time-budget reasons — per-step observation,
+  // 10k nodes: the rl_blocks_scaling bench caps full-graph episodes at 2k
+  // for time-budget reasons — per-step observation,
   // rewiring, and GNN training all touch the whole adjacency, so their
   // cost grows with the graph — while block-scoped rollouts finish in
   // seconds here because per-step cost follows the sampled block.
@@ -495,7 +500,7 @@ TEST(BlockRolloutEndToEndTest, CoTrainsOnTenThousandNodeGraph) {
   ro.steps_per_episode = 2;
   ro.env.gnn_epochs_per_step = 1;
 
-  const core::BlockCoTrainResult result =
+  const core::GraphRareResult result =
       core::RunBlockCoTraining(ds, splits[0], opts, ro);
 
   EXPECT_EQ(result.env_steps, 2 * 2);  // iterations * steps_per_episode
@@ -509,6 +514,50 @@ TEST(BlockRolloutEndToEndTest, CoTrainsOnTenThousandNodeGraph) {
   // Well above the 4-class chance level: the pipeline actually learns.
   EXPECT_GT(result.test_accuracy, 0.3);
   EXPECT_GE(result.best_val_accuracy, result.val_acc_history.back() - 1e-12);
+}
+
+TEST(BlockRolloutEndToEndTest, RunGraphRareBlocksLastRunCarriesTelemetry) {
+  data::Dataset ds = MakeSparseDataset(18);
+  data::SplitOptions so;
+  so.num_splits = 2;
+  const auto splits = data::MakeSplits(ds.labels, ds.num_classes, so);
+
+  core::GraphRareOptions opts;
+  opts.backbone = nn::BackboneKind::kSage;
+  opts.hidden = 12;
+  opts.dropout = 0.0f;
+  opts.entropy.max_two_hop_candidates = 6;
+  opts.entropy.num_random_candidates = 2;
+  opts.iterations = 3;
+  opts.pretrain_epochs = 1;
+  opts.ppo.steps_per_update = 4;
+  opts.seed = 4;
+
+  BlockRolloutOptions ro;
+  ro.blocks_per_round = 2;
+  ro.seeds_per_block = 16;
+  ro.fanouts = {4, 4};
+  ro.steps_per_episode = 2;
+  ro.env.gnn_epochs_per_step = 1;
+
+  const core::GraphRareAggregate agg =
+      core::RunGraphRareBlocks(ds, splits, opts, ro);
+  const core::GraphRareResult& last = agg.last_run;
+  EXPECT_EQ(last.env_steps, 3 * 2);  // iterations * steps_per_episode
+  ASSERT_EQ(last.round_telemetry.size(), 3u);
+  for (size_t t = 0; t < last.round_telemetry.size(); ++t) {
+    EXPECT_EQ(last.round_telemetry[t].round, static_cast<int>(t));
+    EXPECT_EQ(last.round_telemetry[t].num_blocks, 2);
+    EXPECT_EQ(last.round_telemetry[t].mean_reward, last.reward_history[t]);
+    EXPECT_EQ(last.round_telemetry[t].val_accuracy,
+              last.val_acc_history[t]);
+  }
+  EXPECT_EQ(last.initial_homophily, ds.Homophily());
+  EXPECT_EQ(last.final_homophily,
+            last.best_graph.EdgeHomophily(ds.labels));
+  EXPECT_DOUBLE_EQ(agg.mean_initial_homophily, ds.Homophily());
+  ASSERT_NE(last.model, nullptr);
+  EXPECT_TRUE(last.ExportArtifact(ds).ok());
 }
 
 }  // namespace

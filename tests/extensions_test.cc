@@ -1,4 +1,5 @@
-// Tests for the extension components: dataset I/O, TopologyEnv, telemetry
+// Tests for the extension components: dataset I/O, the full-graph topology
+// env (BlockTopologyEnv over the identity block), telemetry
 // CSV, SGC/APPNP backbones, and the GraphRARE framework over the new
 // backbones.
 
@@ -10,7 +11,6 @@
 #include "data/io.h"
 #include "core/graphrare.h"
 #include "core/telemetry.h"
-#include "core/topology_env.h"
 
 namespace graphrare {
 namespace {
@@ -156,88 +156,75 @@ TEST(DatasetIoTest, HomophilyPreservedThroughRoundTrip) {
   std::remove(path.c_str());
 }
 
-// ---- TopologyEnv -----------------------------------------------------------
+// ---- Full-graph topology env ------------------------------------------------
 
-TEST(TopologyEnvTest, ResetReturnsObservation) {
-  data::Dataset ds = Small(53);
-  data::SplitOptions so;
-  so.num_splits = 1;
-  auto splits = data::MakeSplits(ds.labels, ds.num_classes, so);
-  auto index = std::move(
-      *entropy::RelativeEntropyIndex::Build(ds.graph, ds.features, {}));
+/// The full-graph episodic MDP: BlockTopologyEnv over the identity block,
+/// finetuning through a MiniBatchTrainer. Members are declared in
+/// construction order; the env holds pointers to the dataset and trainer.
+struct FullGraphEnv {
+  FullGraphEnv(uint64_t data_seed, int64_t hidden, uint64_t model_seed,
+               const core::TopologyEnvOptions& options)
+      : ds(Small(data_seed)) {
+    data::SplitOptions so;
+    so.num_splits = 1;
+    split = data::MakeSplits(ds.labels, ds.num_classes, so)[0];
+    nn::ModelOptions mo;
+    mo.in_features = ds.num_features();
+    mo.hidden = hidden;
+    mo.num_classes = ds.num_classes;
+    mo.seed = model_seed;
+    model = nn::MakeModel(nn::BackboneKind::kGcn, mo);
+    trainer = std::make_unique<nn::MiniBatchTrainer>(
+        model.get(), ds.FeaturesCsr(), &ds.labels,
+        nn::MiniBatchTrainer::Options{});
+    const graph::Subgraph block = graph::FullSubgraph(ds.graph, split.train);
+    const auto index = std::move(
+        *entropy::RelativeEntropyIndex::Build(ds.graph, ds.features, {}));
+    env = std::make_unique<core::BlockTopologyEnv>(
+        &ds, block, split.train, trainer.get(), index.Restrict(block),
+        options);
+  }
 
-  nn::ModelOptions mo;
-  mo.in_features = ds.num_features();
-  mo.hidden = 16;
-  mo.num_classes = ds.num_classes;
-  mo.seed = 3;
-  auto model = nn::MakeModel(nn::BackboneKind::kGcn, mo);
-  nn::ClassifierTrainer trainer(model.get(),
-                                nn::LayerInput::Sparse(ds.FeaturesCsr()),
-                                &ds.labels, {});
+  data::Dataset ds;
+  data::Split split;
+  std::unique_ptr<nn::NodeClassifier> model;
+  std::unique_ptr<nn::MiniBatchTrainer> trainer;
+  std::unique_ptr<core::BlockTopologyEnv> env;
+};
 
-  core::TopologyEnv env(&ds, &splits[0], &trainer, &index, {});
-  tensor::Tensor obs = env.Reset();
-  EXPECT_EQ(obs.rows(), ds.num_nodes());
+TEST(FullGraphEnvTest, ResetReturnsObservation) {
+  FullGraphEnv f(53, 16, 3, {});
+  tensor::Tensor obs = f.env->Reset();
+  EXPECT_EQ(obs.rows(), f.ds.num_nodes());
   EXPECT_EQ(obs.cols(), core::kObservationDim);
-  EXPECT_EQ(env.obs_dim(), core::kObservationDim);
-  EXPECT_EQ(env.num_components(), ds.num_nodes());
+  EXPECT_EQ(f.env->obs_dim(), core::kObservationDim);
+  EXPECT_EQ(f.env->num_components(), f.ds.num_nodes());
 }
 
-TEST(TopologyEnvTest, AgentLoopRunsAndRewiresGraph) {
-  data::Dataset ds = Small(54);
-  data::SplitOptions so;
-  so.num_splits = 1;
-  auto splits = data::MakeSplits(ds.labels, ds.num_classes, so);
-  auto index = std::move(
-      *entropy::RelativeEntropyIndex::Build(ds.graph, ds.features, {}));
-
-  nn::ModelOptions mo;
-  mo.in_features = ds.num_features();
-  mo.hidden = 16;
-  mo.num_classes = ds.num_classes;
-  mo.seed = 4;
-  auto model = nn::MakeModel(nn::BackboneKind::kGcn, mo);
-  nn::ClassifierTrainer trainer(model.get(),
-                                nn::LayerInput::Sparse(ds.FeaturesCsr()),
-                                &ds.labels, {});
-
+TEST(FullGraphEnvTest, AgentLoopRunsAndRewiresGraph) {
   core::TopologyEnvOptions eopts;
   eopts.gnn_epochs_per_step = 1;
-  core::TopologyEnv env(&ds, &splits[0], &trainer, &index, eopts);
+  FullGraphEnv f(54, 16, 4, eopts);
 
   rl::PpoOptions popts;
   popts.steps_per_update = 4;
-  rl::PpoAgent agent(env.obs_dim(), popts);
-  const auto rewards = rl::RunAgentOnEnv(&agent, &env, 10);
+  rl::PpoAgent agent(f.env->obs_dim(), popts);
+  const auto rewards = rl::RunAgentOnBatchedEnvs(&agent, {f.env.get()}, 10);
   EXPECT_EQ(rewards.size(), 10u);
-  EXPECT_GE(env.ValidationAccuracy(), 0.0);
+  EXPECT_GE(
+      f.trainer->Evaluate(f.env->current_graph(), f.split.val).accuracy,
+      0.0);
   // After 10 steps of random-ish +-1 actions some edits are very likely.
-  EXPECT_EQ(env.current_graph().num_nodes(), ds.num_nodes());
+  EXPECT_EQ(f.env->current_graph().num_nodes(), f.ds.num_nodes());
 }
 
-TEST(TopologyEnvDeathTest, StepBeforeResetAborts) {
-  data::Dataset ds = Small(55);
-  data::SplitOptions so;
-  so.num_splits = 1;
-  auto splits = data::MakeSplits(ds.labels, ds.num_classes, so);
-  auto index = std::move(
-      *entropy::RelativeEntropyIndex::Build(ds.graph, ds.features, {}));
-  nn::ModelOptions mo;
-  mo.in_features = ds.num_features();
-  mo.hidden = 8;
-  mo.num_classes = ds.num_classes;
-  mo.seed = 5;
-  auto model = nn::MakeModel(nn::BackboneKind::kGcn, mo);
-  nn::ClassifierTrainer trainer(model.get(),
-                                nn::LayerInput::Sparse(ds.FeaturesCsr()),
-                                &ds.labels, {});
-  core::TopologyEnv env(&ds, &splits[0], &trainer, &index, {});
+TEST(FullGraphEnvDeathTest, StepBeforeResetAborts) {
+  FullGraphEnv f(55, 8, 5, {});
   rl::ActionSample a;
-  a.delta_k.assign(static_cast<size_t>(ds.num_nodes()), 0);
-  a.delta_d.assign(static_cast<size_t>(ds.num_nodes()), 0);
+  a.delta_k.assign(static_cast<size_t>(f.ds.num_nodes()), 0);
+  a.delta_d.assign(static_cast<size_t>(f.ds.num_nodes()), 0);
   tensor::Tensor obs;
-  EXPECT_DEATH(env.Step(a, &obs), "Reset");
+  EXPECT_DEATH(f.env->Step(a, &obs), "Reset");
 }
 
 // ---- Telemetry --------------------------------------------------------------

@@ -28,6 +28,7 @@
 #include "core/graphrare.h"
 #include "data/block_pipeline.h"
 #include "data/partitioner.h"
+#include "full_graph_reference.h"
 
 namespace graphrare {
 namespace {
@@ -571,7 +572,8 @@ TEST(BackwardCompatTest, B1FullFanoutReproducesFullGraphThroughPipeline) {
   po.seed = 19;
   const int steps = 6;
 
-  // Full-graph reference trajectory (TopologyEnv + ClassifierTrainer).
+  // Full-graph reference trajectory: a plain PPO loop over the
+  // written-out full-graph step + ClassifierTrainer.
   auto full_model = nn::MakeModel(nn::BackboneKind::kSage,
                                   NoDropoutOptions(ds, 7));
   nn::ClassifierTrainer::Options full_topts;
@@ -579,10 +581,11 @@ TEST(BackwardCompatTest, B1FullFanoutReproducesFullGraphThroughPipeline) {
   nn::ClassifierTrainer full_trainer(
       full_model.get(), nn::LayerInput::Sparse(ds.FeaturesCsr()),
       &ds.labels, full_topts);
-  core::TopologyEnv full_env(&ds, &splits[0], &full_trainer, &index, eo);
+  testing_ref::FullGraphReference full_env(&ds, &splits[0], &full_trainer,
+                                           &index, eo);
   rl::PpoAgent full_agent(core::kObservationDim, po);
   const std::vector<double> full_rewards =
-      rl::RunAgentOnEnv(&full_agent, &full_env, steps);
+      testing_ref::RunPpoOnReference(&full_agent, &full_env, steps);
 
   // B=1/full-fanout through the new pipeline, prefetching enabled.
   auto mb_model = nn::MakeModel(nn::BackboneKind::kSage,
@@ -640,7 +643,7 @@ TEST(PartitionCoTrainTest, LocalityWithEntropyRefreshCoTrains) {
   ro.prefetch_depth = 2;
   ro.refresh_entropy = true;
 
-  const core::BlockCoTrainResult result =
+  const core::GraphRareResult result =
       core::RunBlockCoTraining(ds, splits[0], opts, ro);
   EXPECT_EQ(result.round_telemetry.size(), 2u);
   for (const core::BlockRoundTelemetry& t : result.round_telemetry) {

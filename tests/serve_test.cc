@@ -535,7 +535,7 @@ TEST(ServingPipelineTest, BlockCoTrainingExportsArtifactThatServesBitwise) {
   rollout.blocks_per_round = 2;
   rollout.seeds_per_block = 16;
   rollout.steps_per_episode = 2;
-  const core::BlockCoTrainResult result =
+  const core::GraphRareResult result =
       core::RunBlockCoTraining(ds, splits[0], opts, rollout);
   ASSERT_NE(result.model, nullptr);
 
