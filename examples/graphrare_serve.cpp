@@ -8,7 +8,7 @@
 //
 // Usage:
 //   graphrare_serve --artifact=model.grare [--queries=FILE] [--topk=3]
-//                   [--fanouts=10,10] [--batch] [--seed=1]
+//                   [--fanouts=10,10] [--seed=1]
 //                   [--http=PORT] [--max-batch=16] [--max-delay-ms=2]
 //                   [--workers=1] [--slo-ms=50] [--deadline-ms=0]
 //                   [--batch-budget-ms=0] [--breaker-threshold=3]
@@ -24,10 +24,9 @@
 // for chaos drills (see src/common/failpoint.h for the spec grammar).
 //
 // CLI mode (default): one query per line, each a whitespace-separated list
-// of node ids. Queries run one at a time through the batcher (the
-// per-query latency percentiles measure exactly that); with --batch all
-// queries are submitted up front and the batcher coalesces them into full
-// engine calls.
+// of node ids. Queries run one at a time through the batcher, answered as
+// each line arrives (the per-query latency percentiles measure exactly
+// that).
 //
 // HTTP mode (--http=PORT): serves POST /v1/predict, POST /v1/topk,
 // POST /v1/reload (artifact hot-swap), GET /healthz, and GET /metrics on
@@ -133,7 +132,6 @@ int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
   std::string artifact_path, queries_path, fanout_spec;
   int topk = 1;
-  bool batch = false;
   uint64_t seed = 1;
   int http_port = -1;
   net::BatcherOptions batcher_opts;
@@ -175,8 +173,6 @@ int main(int argc, char** argv) {
       breaker_threshold = std::atoi(v);
     } else if (const char* v = value("--breaker-cooldown-ms=")) {
       breaker_cooldown_ms = std::atof(v);
-    } else if (arg == "--batch") {
-      batch = true;
     } else {
       std::fprintf(stderr, "unrecognised argument: %s\n", arg.c_str());
       return 2;
@@ -185,7 +181,7 @@ int main(int argc, char** argv) {
   if (artifact_path.empty()) {
     std::fprintf(stderr,
                  "usage: graphrare_serve --artifact=model.grare "
-                 "[--queries=FILE] [--topk=K] [--fanouts=10,10] [--batch] "
+                 "[--queries=FILE] [--topk=K] [--fanouts=10,10] "
                  "[--http=PORT] [--max-batch=N] [--max-delay-ms=MS] "
                  "[--workers=N] [--slo-ms=MS] [--deadline-ms=MS] "
                  "[--batch-budget-ms=MS] [--breaker-threshold=N] "
@@ -303,8 +299,8 @@ int main(int argc, char** argv) {
                   static_cast<long long>(p.predicted_class));
       if (topk > 1) {
         // Rank the returned probabilities directly so the list always
-        // agrees with the prediction on this line (engine.TopK would
-        // re-sample in sampled mode).
+        // agrees with the prediction on this line (a second Predict
+        // would re-sample in sampled mode).
         for (const auto& [cls, prob] : serve::TopKOf(p, topk)) {
           std::printf(" %lld=%.4f", static_cast<long long>(cls), prob);
         }
@@ -316,76 +312,25 @@ int main(int argc, char** argv) {
   Dispatcher dispatcher{*batcher, LatencyRecorder()};
   size_t num_queries = 0;
   int64_t total_nodes = 0;
-  bool interrupted = false;
   const Stopwatch total_watch;
   std::string line;
 
-  if (batch) {
-    // Submit everything up front; the batcher coalesces arrivals into full
-    // engine calls. Answers print in submission order.
-    std::vector<std::vector<int64_t>> requests;
-    while (!g_stop && std::getline(in, line)) {
-      auto ids = parse_line(line);
-      if (!ids.empty()) requests.push_back(std::move(ids));
+  // Streaming: answer each line as it arrives. A signal interrupts the
+  // blocked read (no SA_RESTART), so the loop falls through to the
+  // drain + report below.
+  while (!g_stop && std::getline(in, line)) {
+    auto ids = parse_line(line);
+    if (ids.empty()) continue;
+    total_nodes += static_cast<int64_t>(ids.size());
+    auto result = dispatcher.Ask(std::move(ids));
+    if (!result.ok()) {
+      std::fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
+      return 1;
     }
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<Result<std::vector<serve::Prediction>>> results(
-        requests.size(), Status::Internal("no completion delivered"));
-    size_t remaining = requests.size();
-    for (size_t i = 0; i < requests.size(); ++i) {
-      const Stopwatch watch;
-      while (true) {
-        Status admitted = batcher->Submit(
-            requests[i],
-            [&, i, watch](Result<std::vector<serve::Prediction>> r) {
-              std::lock_guard<std::mutex> lock(mu);
-              dispatcher.latency_ms.Record(watch.ElapsedMillis());
-              results[i] = std::move(r);
-              if (--remaining == 0) cv.notify_one();
-            });
-        if (admitted.ok()) break;
-        if (admitted.message() != "request queue is full") {
-          std::fprintf(stderr, "error: %s\n",
-                       admitted.ToString().c_str());
-          return 1;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      total_nodes += static_cast<int64_t>(requests[i].size());
-    }
-    num_queries = requests.size();
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return remaining == 0; });
-    }
-    for (const auto& result : results) {
-      if (!result.ok()) {
-        std::fprintf(stderr, "error: %s\n",
-                     result.status().ToString().c_str());
-        return 1;
-      }
-      print_predictions(result.value());
-    }
-  } else {
-    // Streaming: answer each line as it arrives. A signal interrupts the
-    // blocked read (no SA_RESTART), so the loop falls through to the
-    // drain + report below.
-    while (!g_stop && std::getline(in, line)) {
-      auto ids = parse_line(line);
-      if (ids.empty()) continue;
-      total_nodes += static_cast<int64_t>(ids.size());
-      auto result = dispatcher.Ask(std::move(ids));
-      if (!result.ok()) {
-        std::fprintf(stderr, "error: %s\n",
-                     result.status().ToString().c_str());
-        return 1;
-      }
-      print_predictions(result.value());
-      ++num_queries;
-    }
+    print_predictions(result.value());
+    ++num_queries;
   }
-  interrupted = g_stop != 0;
+  const bool interrupted = g_stop != 0;
   batcher->Stop();  // drains anything still queued
 
   if (num_queries == 0 && !interrupted) {

@@ -213,7 +213,8 @@ using BlockCoTrainResult = GraphRareResult;
 /// GraphRareOptions + master seed configures both co-training paths.
 /// Fills env_steps, round_telemetry, reward/val histories and both
 /// homophily fields of the result; the per-iteration train-accuracy and
-/// homophily histories stay empty.
+/// homophily histories stay empty. Aborts unless policy_mode is kDrl and
+/// both edit channels are enabled: the block MDP has no ablation switches.
 GraphRareResult RunBlockCoTraining(const data::Dataset& dataset,
                                    const data::Split& split,
                                    const GraphRareOptions& options,

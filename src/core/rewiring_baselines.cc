@@ -63,11 +63,6 @@ graph::Graph BuildUgcnStarGraph(const data::Dataset& dataset,
   return graph::Graph::FromEdgeListOrDie(dataset.num_nodes(), edges);
 }
 
-std::shared_ptr<const tensor::CsrMatrix> NormalizedOperator(
-    const graph::Graph& g) {
-  return g.NormalizedAdjacency();
-}
-
 SimpGcnStarModel::SimpGcnStarModel(
     const nn::ModelOptions& options,
     std::shared_ptr<const tensor::CsrMatrix> knn_operator)

@@ -69,11 +69,6 @@ class SimpGcnStarModel : public nn::NodeClassifier {
   float dropout_;
 };
 
-/// Normalised adjacency D^{-1/2}(A+I)D^{-1/2} of an arbitrary graph
-/// (helper shared with benches).
-std::shared_ptr<const tensor::CsrMatrix> NormalizedOperator(
-    const graph::Graph& g);
-
 }  // namespace core
 }  // namespace graphrare
 

@@ -65,21 +65,5 @@ void LogBlockRound(const BlockRoundTelemetry& t) {
   GR_LOG(INFO) << FormatBlockRound(t);
 }
 
-std::string BlockRoundCsvString(
-    const std::vector<BlockRoundTelemetry>& rounds) {
-  std::ostringstream out;
-  out << "round,num_blocks,block_nodes,nodes_recorded,conflict_nodes,"
-         "conflict_rate,overwrites,cross_round_overwrites,mean_reward,"
-         "val_accuracy\n";
-  for (const BlockRoundTelemetry& t : rounds) {
-    out << t.round << "," << t.num_blocks << "," << t.block_nodes << ","
-        << t.conflicts.nodes_recorded << "," << t.conflicts.conflict_nodes
-        << "," << t.conflicts.ConflictRate() << "," << t.conflicts.overwrites
-        << "," << t.conflicts.cross_round_overwrites << "," << t.mean_reward
-        << "," << t.val_accuracy << "\n";
-  }
-  return out.str();
-}
-
 }  // namespace core
 }  // namespace graphrare

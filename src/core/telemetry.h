@@ -9,7 +9,6 @@
 #define GRAPHRARE_CORE_TELEMETRY_H_
 
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "core/trainer.h"
@@ -30,11 +29,6 @@ std::string FormatBlockRound(const BlockRoundTelemetry& t);
 
 /// Logs FormatBlockRound at INFO severity.
 void LogBlockRound(const BlockRoundTelemetry& t);
-
-/// CSV with one row per round:
-/// round,num_blocks,block_nodes,nodes_recorded,conflict_nodes,
-/// conflict_rate,overwrites,cross_round_overwrites,mean_reward,val_accuracy
-std::string BlockRoundCsvString(const std::vector<BlockRoundTelemetry>& rounds);
 
 }  // namespace core
 }  // namespace graphrare

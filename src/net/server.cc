@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -45,6 +46,55 @@ HttpResponse ErrorResponse(int status, const std::string& message,
 std::string TargetPath(const std::string& target) {
   const size_t q = target.find('?');
   return q == std::string::npos ? target : target.substr(0, q);
+}
+
+/// A parsed /v1/predict or /v1/topk body: the node ids to submit to the
+/// batcher and the renderer of its answer.
+struct Query {
+  std::vector<int64_t> ids;
+  std::function<std::string(const std::vector<serve::Prediction>&)> render;
+};
+
+Result<Query> ParsePredict(const std::string& body) {
+  GR_ASSIGN_OR_RETURN(JsonValue doc, JsonValue::Parse(body));
+  const JsonValue* nodes = doc.Find("nodes");
+  if (nodes == nullptr || !nodes->is_array() || nodes->items().empty()) {
+    return Status::InvalidArgument("body must be {\"nodes\":[id,...]}");
+  }
+  Query query;
+  query.ids.reserve(nodes->items().size());
+  for (const JsonValue& item : nodes->items()) {
+    auto id_or = item.AsInt64();
+    if (!id_or.ok()) {
+      return Status::InvalidArgument("nodes must be integers");
+    }
+    query.ids.push_back(*id_or);
+  }
+  query.render = PredictionsToJson;
+  return query;
+}
+
+Result<Query> ParseTopK(const std::string& body) {
+  GR_ASSIGN_OR_RETURN(JsonValue doc, JsonValue::Parse(body));
+  int64_t k = 1;
+  if (const JsonValue* kv = doc.Find("k")) {
+    auto k_or = kv->AsInt64();
+    if (!k_or.ok() || *k_or < 1) {
+      return Status::InvalidArgument("k must be a positive integer");
+    }
+    k = *k_or;
+  }
+  const JsonValue* node_value = doc.Find("node");
+  if (node_value == nullptr) {
+    return Status::InvalidArgument("body must be {\"node\":id,\"k\":K}");
+  }
+  GR_ASSIGN_OR_RETURN(const int64_t node, node_value->AsInt64());
+  Query query;
+  query.ids = {node};
+  query.render = [node, k](const std::vector<serve::Prediction>& preds) {
+    return TopKToJson(node, serve::TopKOf(preds[0], static_cast<int>(k)));
+  };
+  return query;
 }
 
 }  // namespace
@@ -122,6 +172,20 @@ enum HttpServer::Route : int {
   kNumRoutes,
 };
 
+struct HttpServer::RouteSpec {
+  const char* path;
+  const char* method;  ///< the one method the route answers
+  Route route;
+};
+
+const HttpServer::RouteSpec HttpServer::kRouteTable[] = {
+    {"/v1/predict", "POST", kRoutePredict},
+    {"/v1/topk", "POST", kRouteTopk},
+    {"/v1/reload", "POST", kRouteReload},
+    {"/healthz", "GET", kRouteHealthz},
+    {"/metrics", "GET", kRouteMetrics},
+};
+
 struct HttpServer::RouteMetrics {
   const char* name = "";
   std::atomic<int64_t> requests{0};
@@ -173,11 +237,9 @@ HttpServer::HttpServer(std::shared_ptr<serve::EngineHandle> engine,
         std::make_shared<ContinuousBatcher>(engine_, options_.batcher);
   }
   routes_.reset(new RouteMetrics[kNumRoutes]);
-  routes_[kRoutePredict].name = "/v1/predict";
-  routes_[kRouteTopk].name = "/v1/topk";
-  routes_[kRouteReload].name = "/v1/reload";
-  routes_[kRouteHealthz].name = "/healthz";
-  routes_[kRouteMetrics].name = "/metrics";
+  for (const RouteSpec& spec : kRouteTable) {
+    routes_[spec.route].name = spec.path;
+  }
   routes_[kRouteOther].name = "other";
 }
 
@@ -412,12 +474,23 @@ void HttpServer::HandleRequest(Connection* conn, HttpRequest request) {
   const std::string path = TargetPath(request.target);
   const Stopwatch watch;
 
-  if (path == "/healthz") {
-    if (request.method != "GET") {
-      FinishRequest(conn, slot, kRouteHealthz, watch.ElapsedMillis(),
-                    ErrorResponse(405, "use GET", keep_alive));
-      return;
-    }
+  const RouteSpec* spec = nullptr;
+  for (const RouteSpec& s : kRouteTable) {
+    if (path == s.path) spec = &s;
+  }
+  const Route route = spec != nullptr ? spec->route : kRouteOther;
+  auto reply = [&](HttpResponse r) {
+    FinishRequest(conn, slot, route, watch.ElapsedMillis(), std::move(r));
+  };
+  if (spec == nullptr) {
+    reply(ErrorResponse(404, "no such route: " + path, keep_alive));
+    return;
+  }
+  if (request.method != spec->method) {
+    reply(ErrorResponse(405, StrFormat("use %s", spec->method), keep_alive));
+    return;
+  }
+  if (route == kRouteHealthz) {
     const auto engine = engine_->Get();
     const BreakerState breaker =
         static_cast<BreakerState>(breaker_state_.load());
@@ -435,137 +508,80 @@ void HttpServer::HandleRequest(Connection* conn, HttpRequest request) {
         static_cast<long long>(engine->num_nodes()),
         static_cast<long long>(engine->num_classes()),
         engine->full_graph_mode() ? "full" : "sampled", breaker_name);
-    FinishRequest(conn, slot, kRouteHealthz, watch.ElapsedMillis(),
-                  std::move(r));
+    reply(std::move(r));
     return;
   }
-  if (path == "/metrics") {
-    if (request.method != "GET") {
-      FinishRequest(conn, slot, kRouteMetrics, watch.ElapsedMillis(),
-                    ErrorResponse(405, "use GET", keep_alive));
-      return;
-    }
+  if (route == kRouteMetrics) {
     HttpResponse r;
     r.keep_alive = keep_alive;
     r.content_type = "text/plain; version=0.0.4";
     r.body = MetricsText();
-    FinishRequest(conn, slot, kRouteMetrics, watch.ElapsedMillis(),
-                  std::move(r));
+    reply(std::move(r));
     return;
   }
-  if (path == "/v1/predict" || path == "/v1/topk" || path == "/v1/reload") {
-    if (request.method != "POST") {
-      const Route route = path == "/v1/predict" ? kRoutePredict
-                          : path == "/v1/topk"  ? kRouteTopk
-                                                : kRouteReload;
-      FinishRequest(conn, slot, route, watch.ElapsedMillis(),
-                    ErrorResponse(405, "use POST", keep_alive));
+  // The POST routes. Per-request deadline: the route default, overridable
+  // (within the configured ceiling) by X-Deadline-Ms.
+  double deadline_ms = options_.default_deadline_ms;
+  if (const std::string* header = request.FindHeader("x-deadline-ms")) {
+    char* end = nullptr;
+    const double v = std::strtod(header->c_str(), &end);
+    if (end == header->c_str() || *end != '\0' || !(v > 0.0)) {
+      reply(ErrorResponse(400, "X-Deadline-Ms must be a positive number",
+                          keep_alive));
       return;
     }
-    // Per-request deadline: the route default, overridable (within the
-    // configured ceiling) by X-Deadline-Ms.
-    double deadline_ms = options_.default_deadline_ms;
-    if (const std::string* header = request.FindHeader("x-deadline-ms")) {
-      char* end = nullptr;
-      const double v = std::strtod(header->c_str(), &end);
-      if (end == header->c_str() || *end != '\0' || !(v > 0.0)) {
-        const Route route = path == "/v1/predict" ? kRoutePredict
-                            : path == "/v1/topk"  ? kRouteTopk
-                                                  : kRouteReload;
-        FinishRequest(conn, slot, route, watch.ElapsedMillis(),
-                      ErrorResponse(
-                          400, "X-Deadline-Ms must be a positive number",
-                          keep_alive));
-        return;
-      }
-      deadline_ms = std::min(v, options_.max_deadline_ms);
-    }
-    if (path == "/v1/predict") {
-      HandlePredict(conn, slot, keep_alive, deadline_ms, request.body);
-    } else if (path == "/v1/topk") {
-      HandleTopK(conn, slot, keep_alive, deadline_ms, request.body);
-    } else {
-      HandleReload(conn, slot, keep_alive, request.body);
-    }
-    return;
+    deadline_ms = std::min(v, options_.max_deadline_ms);
   }
-  FinishRequest(conn, slot, kRouteOther, watch.ElapsedMillis(),
-                ErrorResponse(404, "no such route: " + path, keep_alive));
+  if (route == kRouteReload) {
+    HandleReload(conn, slot, keep_alive, watch, request.body);
+  } else {
+    HandleQuery(conn, slot, route, keep_alive, deadline_ms, watch,
+                request.body);
+  }
 }
 
-void HttpServer::HandlePredict(Connection* conn, uint64_t slot,
-                               bool keep_alive, double deadline_ms,
-                               const std::string& body) {
-  const Stopwatch watch;
-  auto doc_or = JsonValue::Parse(body);
-  if (!doc_or.ok()) {
-    FinishRequest(conn, slot, kRoutePredict, watch.ElapsedMillis(),
-                  ErrorResponse(400, doc_or.status().message(), keep_alive));
+void HttpServer::HandleQuery(Connection* conn, uint64_t slot, Route route,
+                             bool keep_alive, double deadline_ms,
+                             const Stopwatch& watch,
+                             const std::string& body) {
+  Result<Query> query =
+      route == kRoutePredict ? ParsePredict(body) : ParseTopK(body);
+  if (!query.ok()) {
+    FinishRequest(conn, slot, route, watch.ElapsedMillis(),
+                  ErrorResponse(400, query.status().message(), keep_alive));
     return;
-  }
-  const JsonValue* nodes = doc_or->Find("nodes");
-  if (nodes == nullptr || !nodes->is_array() || nodes->items().empty()) {
-    FinishRequest(conn, slot, kRoutePredict, watch.ElapsedMillis(),
-                  ErrorResponse(400, "body must be {\"nodes\":[id,...]}",
-                                keep_alive));
-    return;
-  }
-  std::vector<int64_t> ids;
-  ids.reserve(nodes->items().size());
-  for (const JsonValue& item : nodes->items()) {
-    auto id_or = item.AsInt64();
-    if (!id_or.ok()) {
-      FinishRequest(conn, slot, kRoutePredict, watch.ElapsedMillis(),
-                    ErrorResponse(400, "nodes must be integers", keep_alive));
-      return;
-    }
-    ids.push_back(*id_or);
   }
 
   const uint64_t conn_id = conn->id;
   const std::shared_ptr<Liveness> liveness = liveness_;
   const Status admitted = batcher_->Submit(
-      std::move(ids), deadline_ms,
-      [this, liveness, conn_id, slot, keep_alive,
-       watch](Result<std::vector<serve::Prediction>> result) {
+      std::move(query->ids), deadline_ms,
+      [this, liveness, conn_id, slot, route, keep_alive, watch,
+       render = std::move(query->render)](
+          Result<std::vector<serve::Prediction>> result) {
         // Worker thread: marshal onto the reactor — unless the server has
         // been destroyed under a longer-lived external batcher.
         std::lock_guard<std::mutex> lock(liveness->mu);
         if (!liveness->alive) return;
-        loop_.Post([this, conn_id, slot, keep_alive, watch,
-                    result = std::move(result)]() mutable {
-          --inflight_;
+        loop_.Post([this, conn_id, slot, route, keep_alive, watch, render,
+                    result = std::move(result)] {
           HttpResponse r;
           r.keep_alive = keep_alive;
-          bool was_shed = false;
           if (result.ok()) {
-            r.body = PredictionsToJson(result.value());
+            r.body = render(result.value());
           } else if (result.status().code() ==
                      StatusCode::kDeadlineExceeded) {
             // Shed in queue: tell the client to back off briefly.
             r.status = 503;
             r.retry_after_s = 1;
             r.body = ErrorBody(result.status().message());
-            was_shed = true;
+            routes_[route].shed.fetch_add(1);
           } else {
             r.status =
                 result.status().code() == StatusCode::kOutOfRange ? 400 : 500;
             r.body = ErrorBody(result.status().message());
           }
-          if (was_shed) routes_[kRoutePredict].shed.fetch_add(1);
-          const auto it = conns_.find(conn_id);
-          if (it == conns_.end()) {
-            client_gone_.fetch_add(1);
-            RouteMetrics& m = routes_[kRoutePredict];
-            m.requests.fetch_add(1);
-            if (r.status >= 400) m.errors.fetch_add(1);
-            return;
-          }
-          Connection* c = it->second.get();
-          --c->inflight;
-          // FinishRequest's flush refreshes the event mask itself — and may
-          // close the connection, so c must not be touched afterwards.
-          FinishRequest(c, slot, kRoutePredict, watch.ElapsedMillis(),
+          CompleteAsync(conn_id, slot, route, watch.ElapsedMillis(),
                         std::move(r));
         });
       });
@@ -573,94 +589,8 @@ void HttpServer::HandlePredict(Connection* conn, uint64_t slot,
     // Queue full (or shutdown): shed at admission with the same contract.
     HttpResponse r = ErrorResponse(503, admitted.message(), keep_alive);
     r.retry_after_s = 1;
-    routes_[kRoutePredict].shed.fetch_add(1);
-    FinishRequest(conn, slot, kRoutePredict, watch.ElapsedMillis(),
-                  std::move(r));
-    return;
-  }
-  ++inflight_;
-  ++conn->inflight;
-}
-
-void HttpServer::HandleTopK(Connection* conn, uint64_t slot, bool keep_alive,
-                            double deadline_ms, const std::string& body) {
-  const Stopwatch watch;
-  auto doc_or = JsonValue::Parse(body);
-  Result<int64_t> node_or =
-      Status::InvalidArgument("body must be {\"node\":id,\"k\":K}");
-  int64_t k = 1;
-  if (doc_or.ok()) {
-    if (const JsonValue* node = doc_or->Find("node")) {
-      node_or = node->AsInt64();
-    }
-    if (const JsonValue* kv = doc_or->Find("k")) {
-      auto k_or = kv->AsInt64();
-      if (!k_or.ok() || *k_or < 1) {
-        node_or = Status::InvalidArgument("k must be a positive integer");
-      } else {
-        k = *k_or;
-      }
-    }
-  } else {
-    node_or = doc_or.status();
-  }
-  if (!node_or.ok()) {
-    FinishRequest(conn, slot, kRouteTopk, watch.ElapsedMillis(),
-                  ErrorResponse(400, node_or.status().message(), keep_alive));
-    return;
-  }
-  const int64_t node = *node_or;
-
-  const uint64_t conn_id = conn->id;
-  const std::shared_ptr<Liveness> liveness = liveness_;
-  const Status admitted = batcher_->Submit(
-      {node}, deadline_ms,
-      [this, liveness, conn_id, slot, keep_alive, node, k,
-       watch](Result<std::vector<serve::Prediction>> result) {
-        std::lock_guard<std::mutex> lock(liveness->mu);
-        if (!liveness->alive) return;
-        loop_.Post([this, conn_id, slot, keep_alive, node, k, watch,
-                    result = std::move(result)]() mutable {
-          --inflight_;
-          HttpResponse r;
-          r.keep_alive = keep_alive;
-          bool was_shed = false;
-          if (result.ok()) {
-            r.body = TopKToJson(
-                node, serve::TopKOf(result.value()[0], static_cast<int>(k)));
-          } else if (result.status().code() ==
-                     StatusCode::kDeadlineExceeded) {
-            r.status = 503;
-            r.retry_after_s = 1;
-            r.body = ErrorBody(result.status().message());
-            was_shed = true;
-          } else {
-            r.status =
-                result.status().code() == StatusCode::kOutOfRange ? 400 : 500;
-            r.body = ErrorBody(result.status().message());
-          }
-          if (was_shed) routes_[kRouteTopk].shed.fetch_add(1);
-          const auto it = conns_.find(conn_id);
-          if (it == conns_.end()) {
-            client_gone_.fetch_add(1);
-            RouteMetrics& m = routes_[kRouteTopk];
-            m.requests.fetch_add(1);
-            if (r.status >= 400) m.errors.fetch_add(1);
-            return;
-          }
-          Connection* c = it->second.get();
-          --c->inflight;
-          // May close the connection; c must not be touched afterwards.
-          FinishRequest(c, slot, kRouteTopk, watch.ElapsedMillis(),
-                        std::move(r));
-        });
-      });
-  if (!admitted.ok()) {
-    HttpResponse r = ErrorResponse(503, admitted.message(), keep_alive);
-    r.retry_after_s = 1;
-    routes_[kRouteTopk].shed.fetch_add(1);
-    FinishRequest(conn, slot, kRouteTopk, watch.ElapsedMillis(),
-                  std::move(r));
+    routes_[route].shed.fetch_add(1);
+    FinishRequest(conn, slot, route, watch.ElapsedMillis(), std::move(r));
     return;
   }
   ++inflight_;
@@ -668,21 +598,21 @@ void HttpServer::HandleTopK(Connection* conn, uint64_t slot, bool keep_alive,
 }
 
 void HttpServer::HandleReload(Connection* conn, uint64_t slot,
-                              bool keep_alive, const std::string& body) {
-  const Stopwatch watch;
+                              bool keep_alive, const Stopwatch& watch,
+                              const std::string& body) {
+  auto reply = [&](HttpResponse r) {
+    FinishRequest(conn, slot, kRouteReload, watch.ElapsedMillis(),
+                  std::move(r));
+  };
   auto doc_or = JsonValue::Parse(body);
   const JsonValue* path_value = doc_or.ok() ? doc_or->Find("path") : nullptr;
   if (path_value == nullptr || !path_value->is_string() ||
       path_value->AsString().empty()) {
-    FinishRequest(conn, slot, kRouteReload, watch.ElapsedMillis(),
-                  ErrorResponse(400, "body must be {\"path\":\"...\"}",
-                                keep_alive));
+    reply(ErrorResponse(400, "body must be {\"path\":\"...\"}", keep_alive));
     return;
   }
   if (reload_in_progress_) {
-    FinishRequest(conn, slot, kRouteReload, watch.ElapsedMillis(),
-                  ErrorResponse(409, "a reload is already in progress",
-                                keep_alive));
+    reply(ErrorResponse(409, "a reload is already in progress", keep_alive));
     return;
   }
   // Circuit breaker: while open, reloads are refused outright until the
@@ -701,8 +631,7 @@ void HttpServer::HandleReload(Connection* conn, uint64_t slot,
       r.retry_after_s =
           static_cast<int>((remaining_ms + 999.0) / 1000.0);
       routes_[kRouteReload].shed.fetch_add(1);
-      FinishRequest(conn, slot, kRouteReload, watch.ElapsedMillis(),
-                    std::move(r));
+      reply(std::move(r));
       return;
     }
     breaker_state_.store(static_cast<int>(BreakerState::kHalfOpen));
@@ -734,7 +663,6 @@ void HttpServer::HandleReload(Connection* conn, uint64_t slot,
     loop_.Post([this, path, conn_id, slot, keep_alive, watch,
                 generation_or = std::move(generation_or)] {
       reload_in_progress_ = false;
-      --inflight_;
       if (generation_or.ok()) reloads_total_.fetch_add(1);
       OnReloadOutcome(generation_or.ok());
       HttpResponse r;
@@ -753,19 +681,19 @@ void HttpServer::HandleReload(Connection* conn, uint64_t slot,
             JsonEscape(generation_or.status().ToString()).c_str(),
             static_cast<long long>(engine_->generation()));
       }
-      const auto it = conns_.find(conn_id);
-      if (it == conns_.end()) {
-        client_gone_.fetch_add(1);
-        routes_[kRouteReload].requests.fetch_add(1);
-        return;
-      }
-      Connection* c = it->second.get();
-      --c->inflight;
-      // May close the connection; c must not be touched afterwards.
-      FinishRequest(c, slot, kRouteReload, watch.ElapsedMillis(),
+      CompleteAsync(conn_id, slot, kRouteReload, watch.ElapsedMillis(),
                     std::move(r));
     });
   });
+}
+
+void HttpServer::CompleteAsync(uint64_t conn_id, uint64_t slot, Route route,
+                               double elapsed_ms, HttpResponse response) {
+  --inflight_;
+  const auto it = conns_.find(conn_id);
+  Connection* conn = it == conns_.end() ? nullptr : it->second.get();
+  if (conn != nullptr) --conn->inflight;
+  FinishRequest(conn, slot, route, elapsed_ms, std::move(response));
 }
 
 double HttpServer::BreakerRemainingMs() const {
@@ -800,6 +728,10 @@ void HttpServer::FinishRequest(Connection* conn, uint64_t slot, Route route,
   if (response.status >= 400) m.errors.fetch_add(1);
   if (elapsed_ms > options_.slo_ms) m.slo_violations.fetch_add(1);
   m.latency_ms.Record(elapsed_ms);
+  if (conn == nullptr) {  // the client left while the request was in flight
+    client_gone_.fetch_add(1);
+    return;
+  }
   const bool close_after = !response.keep_alive;
   DeliverSerialized(conn, slot, SerializeResponse(response), close_after);
 }

@@ -139,20 +139,30 @@ class HttpServer {
   struct Connection;
   struct RouteMetrics;
   enum Route : int;
+  struct RouteSpec;
+  /// {path, method, Route} of every served path; HandleRequest resolves
+  /// each request against it once.
+  static const RouteSpec kRouteTable[];
 
   void AcceptReady();
   void ConnectionReady(uint64_t conn_id, uint32_t events);
   void ReadInput(Connection* conn);
   void ParseBuffered(Connection* conn);
   void HandleRequest(Connection* conn, HttpRequest request);
-  void HandlePredict(Connection* conn, uint64_t slot, bool keep_alive,
-                     double deadline_ms, const std::string& body);
-  void HandleTopK(Connection* conn, uint64_t slot, bool keep_alive,
-                  double deadline_ms, const std::string& body);
+  /// /v1/predict and /v1/topk: parses the body into node ids, submits
+  /// them to the batcher and answers through CompleteAsync.
+  void HandleQuery(Connection* conn, uint64_t slot, Route route,
+                   bool keep_alive, double deadline_ms, const Stopwatch& watch,
+                   const std::string& body);
   void HandleReload(Connection* conn, uint64_t slot, bool keep_alive,
-                    const std::string& body);
-  /// Serialises + enqueues at `slot`, keeping pipelined responses in
-  /// request order, and records route metrics.
+                    const Stopwatch& watch, const std::string& body);
+  /// Loop thread: finishes an asynchronous route's request on connection
+  /// `conn_id`, which may have closed while the request was in flight.
+  void CompleteAsync(uint64_t conn_id, uint64_t slot, Route route,
+                     double elapsed_ms, HttpResponse response);
+  /// Records route metrics, then serialises + enqueues at `slot`, keeping
+  /// pipelined responses in request order. A null `conn` (the client has
+  /// gone) is counted in responses_client_gone() instead.
   void FinishRequest(Connection* conn, uint64_t slot, Route route,
                      double elapsed_ms, HttpResponse response);
   void DeliverSerialized(Connection* conn, uint64_t slot, std::string bytes,

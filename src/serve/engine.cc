@@ -199,12 +199,5 @@ std::vector<std::pair<int64_t, float>> TopKOf(const Prediction& prediction,
   return ranked;
 }
 
-Result<std::vector<std::pair<int64_t, float>>> InferenceEngine::TopK(
-    int64_t node, int k) const {
-  if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  GR_ASSIGN_OR_RETURN(std::vector<Prediction> preds, Predict({node}));
-  return TopKOf(preds[0], k);
-}
-
 }  // namespace serve
 }  // namespace graphrare

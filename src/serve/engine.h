@@ -57,9 +57,8 @@ struct Prediction {
 
 /// Top-k (class, probability) pairs of an already-computed prediction,
 /// descending probability (ties broken by class id), k clamped to the
-/// class count. Use this to annotate a Prediction you already hold — in
-/// sampled mode a fresh engine.TopK() call would re-sample and could
-/// disagree with it.
+/// class count. Rank the Prediction you already hold: in sampled mode a
+/// second Predict call re-samples and could disagree with it.
 std::vector<std::pair<int64_t, float>> TopKOf(const Prediction& prediction,
                                               int k);
 
@@ -101,11 +100,6 @@ class InferenceEngine {
   Result<std::vector<std::vector<Prediction>>> PredictBatchWithSeeds(
       const std::vector<std::vector<int64_t>>& requests,
       const std::vector<uint64_t>& seeds) const;
-
-  /// Top-k (class, probability) pairs for one node, descending
-  /// probability (ties broken by class id). k is clamped to num_classes.
-  Result<std::vector<std::pair<int64_t, float>>> TopK(int64_t node,
-                                                      int k) const;
 
   int64_t num_nodes() const { return artifact_.num_nodes(); }
   int64_t num_classes() const { return artifact_.num_classes(); }

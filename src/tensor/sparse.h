@@ -94,9 +94,6 @@ class CsrMatrix {
   /// identical to the scalar loop under any thread count.
   Tensor SpMM(const Tensor& x) const;
 
-  /// y = A * x for a column vector (cols x 1).
-  Tensor SpMV(const Tensor& x) const { return SpMM(x); }
-
   /// Transposed copy. Cached: repeated calls return the same shared matrix
   /// (backward passes need A^T on every step). Thread-safe: concurrent
   /// first calls race only into a std::call_once.

@@ -10,7 +10,8 @@
 //    (same rewards, observations, rewired edge set, post-finetune
 //    weights) — scripted actions and PPO-driven alike.
 //  * RunGraphRareBlocks hands back the block path's telemetry in the
-//    shared GraphRareResult.
+//    shared GraphRareResult, and RunBlockCoTraining aborts on the ablation
+//    knobs it does not implement.
 //  * End-to-end: block-scoped co-training completes in seconds on a
 //    10k-node graph, a scale past the rl_blocks_scaling bench's
 //    full-graph-episode cutoff (full-graph per-step cost grows with the
@@ -558,6 +559,30 @@ TEST(BlockRolloutEndToEndTest, RunGraphRareBlocksLastRunCarriesTelemetry) {
   EXPECT_DOUBLE_EQ(agg.mean_initial_homophily, ds.Homophily());
   ASSERT_NE(last.model, nullptr);
   EXPECT_TRUE(last.ExportArtifact(ds).ok());
+}
+
+// The block path has no Table V / Fig. 5 switches yet: each ablation knob
+// aborts naming its field instead of silently running plain DRL.
+TEST(BlockRolloutEndToEndDeathTest, RejectsUnsupportedAblationKnobs) {
+  const data::Dataset ds = MakeSparseDataset(19);
+  data::SplitOptions so;
+  so.num_splits = 1;
+  const auto splits = data::MakeSplits(ds.labels, ds.num_classes, so);
+  BlockRolloutOptions ro;
+  ro.fanouts = {4, 4};
+
+  core::GraphRareOptions fixed;
+  fixed.policy_mode = core::PolicyMode::kFixed;
+  EXPECT_DEATH(core::RunBlockCoTraining(ds, splits[0], fixed, ro),
+               "policy_mode");
+  core::GraphRareOptions no_add;
+  no_add.enable_add = false;
+  EXPECT_DEATH(core::RunBlockCoTraining(ds, splits[0], no_add, ro),
+               "enable_add");
+  core::GraphRareOptions no_remove;
+  no_remove.enable_remove = false;
+  EXPECT_DEATH(core::RunBlockCoTraining(ds, splits[0], no_remove, ro),
+               "enable_remove");
 }
 
 }  // namespace

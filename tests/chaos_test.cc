@@ -4,8 +4,9 @@
 // byte-identical after a failed overwrite at any injectable stage),
 // per-section checksum detection of torn/corrupt artifacts, EINTR storms
 // and short reads/writes on both the artifact and socket paths, deadline
-// shedding with 503 + Retry-After, the overload watchdog, reload rollback
-// under concurrent load at every injectable failure stage, and the reload
+// shedding with 503 + Retry-After, the overload watchdog, metrics for a
+// request whose client vanished mid-flight, reload rollback under
+// concurrent load at every injectable failure stage, and the reload
 // circuit breaker lifecycle. Run alone with `ctest -L chaos`.
 
 #include <arpa/inet.h>
@@ -496,6 +497,15 @@ class TestClient {
 
   bool ok() const { return fd_ >= 0; }
 
+  /// Closes with an RST (SO_LINGER 0) instead of a FIN, so the server
+  /// drops the connection at once instead of answering a half-closed peer.
+  void Abort() {
+    struct linger lg = {1, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
+    ::close(fd_);
+    fd_ = -1;
+  }
+
   void Send(const std::string& bytes) {
     size_t off = 0;
     while (off < bytes.size()) {
@@ -707,6 +717,37 @@ TEST_F(ChaosServerTest, DeadlineExpiryShedsWith503AndRetryAfter) {
                             "{\"nodes\":[0]}");
   ASSERT_TRUE(client.ReadResponse(&r));
   EXPECT_EQ(r.status, 400);
+}
+
+// ---- Client-gone accounting ----------------------------------------------
+
+TEST_F(ChaosServerTest, ClientGoneRequestIsCountedLikeADeliveredOne) {
+  StartServer();
+  // The batch stalls long enough for the client to vanish mid-request.
+  ASSERT_TRUE(failpoint::Configure("batcher.batch", "delay(250)").ok());
+  TestClient client(port());
+  ASSERT_TRUE(client.ok());
+  client.Request("POST", "/v1/predict", "{\"nodes\":[0]}");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server_->batcher().Stats().submitted < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server_->batcher().Stats().submitted, 1);
+  client.Abort();
+
+  while (server_->responses_client_gone() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(server_->responses_client_gone(), 1);
+  for (const net::RouteStats& s : server_->AllRouteStats()) {
+    if (s.route != "/v1/predict") continue;
+    EXPECT_EQ(s.requests, 1);
+    EXPECT_EQ(s.errors, 0);
+    EXPECT_EQ(s.latency_ms.count, 1);
+  }
 }
 
 // ---- Reload rollback under concurrent load --------------------------------

@@ -280,12 +280,18 @@ TEST_F(HttpServerTest, ErrorStatusesPerRouteContract) {
   const Case kCases[] = {
       {"GET", "/no/such/route", "", 404},
       {"GET", "/v1/predict", "", 405},
+      {"GET", "/v1/topk", "", 405},
+      {"GET", "/v1/reload", "", 405},
       {"POST", "/healthz", "", 405},
+      {"POST", "/metrics", "", 405},
       {"POST", "/v1/predict", "not json", 400},
       {"POST", "/v1/predict", "{\"nodes\":[]}", 400},
       {"POST", "/v1/predict", "{\"nodes\":[1.5]}", 400},
       {"POST", "/v1/predict", "{\"nodes\":[999999]}", 400},  // out of range
       {"POST", "/v1/topk", "{\"node\":5,\"k\":0}", 400},
+      {"POST", "/v1/topk", "{\"k\":2}", 400},  // no node
+      {"POST", "/v1/topk", "{\"node\":1.5}", 400},
+      {"POST", "/v1/topk", "{\"node\":999999}", 400},  // out of range
       {"POST", "/v1/reload", "{}", 400},
   };
   TestClient client(port());

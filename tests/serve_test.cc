@@ -370,15 +370,15 @@ TEST(InferenceEngineTest, TopKIsSortedAndClamped) {
   auto engine_or = serve::InferenceEngine::FromArtifact(
       MakeArtifact(ds, nn::BackboneKind::kGcn, 5));
   ASSERT_TRUE(engine_or.ok());
-  auto topk = engine_or->TopK(0, 1000);  // clamped to num_classes
-  ASSERT_TRUE(topk.ok());
-  ASSERT_EQ(static_cast<int64_t>(topk->size()), engine_or->num_classes());
-  for (size_t i = 1; i < topk->size(); ++i) {
-    EXPECT_GE((*topk)[i - 1].second, (*topk)[i].second);
-  }
   auto preds = engine_or->Predict({0});
-  EXPECT_EQ((*topk)[0].first, (*preds)[0].predicted_class);
-  EXPECT_FALSE(engine_or->TopK(0, 0).ok());
+  ASSERT_TRUE(preds.ok());
+  const auto topk = serve::TopKOf((*preds)[0], 1000);  // clamped
+  ASSERT_EQ(static_cast<int64_t>(topk.size()), engine_or->num_classes());
+  for (size_t i = 1; i < topk.size(); ++i) {
+    EXPECT_GE(topk[i - 1].second, topk[i].second);
+  }
+  EXPECT_EQ(topk[0].first, (*preds)[0].predicted_class);
+  EXPECT_EQ(serve::TopKOf((*preds)[0], 2).size(), 2u);
 }
 
 TEST(InferenceEngineTest, UnlimitedFanoutSamplingMatchesFullGraph) {
