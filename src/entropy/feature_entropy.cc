@@ -10,7 +10,9 @@ namespace entropy {
 
 tensor::Tensor EmbedFeatures(const tensor::Tensor& features,
                              const FeatureEmbeddingOptions& options) {
-  tensor::Tensor z = features;
+  // The projection path reads `features` straight into the product; only
+  // phi = identity copies it.
+  tensor::Tensor z;
   if (options.projection_dim > 0 && options.projection_dim < features.cols()) {
     Rng rng(options.seed);
     const float scale =
@@ -18,6 +20,8 @@ tensor::Tensor EmbedFeatures(const tensor::Tensor& features,
     tensor::Tensor proj = tensor::Tensor::Randn(
         features.cols(), options.projection_dim, &rng, scale);
     z = tensor::MatMul(features, proj);
+  } else {
+    z = features;
   }
   if (options.l2_normalize) {
     for (int64_t r = 0; r < z.rows(); ++r) {

@@ -1,7 +1,6 @@
 #include "entropy/relative_entropy.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/logging.h"
 
@@ -74,13 +73,14 @@ Result<RelativeEntropyIndex> RelativeEntropyIndex::Build(
   pair_owner_begin.reserve(static_cast<size_t>(n) + 1);
   remote_count.reserve(static_cast<size_t>(n));
 
-  std::unordered_set<int64_t> taken;
+  // taken[c] == v marks c as already a candidate (or v itself, or a
+  // neighbour) for node v; v only grows, so no per-node clear is needed.
+  std::vector<int64_t> taken(static_cast<size_t>(n), -1);
   for (int64_t v = 0; v < n; ++v) {
     pair_owner_begin.push_back(static_cast<int64_t>(pairs.size()));
-    taken.clear();
-    taken.insert(v);
+    taken[static_cast<size_t>(v)] = v;
     for (const int64_t* p = g.NeighborsBegin(v); p != g.NeighborsEnd(v); ++p) {
-      taken.insert(*p);
+      taken[static_cast<size_t>(*p)] = v;
     }
 
     // 2-hop candidates (sampled down when large).
@@ -88,8 +88,8 @@ Result<RelativeEntropyIndex> RelativeEntropyIndex::Build(
     for (const int64_t* p = g.NeighborsBegin(v); p != g.NeighborsEnd(v); ++p) {
       for (const int64_t* q = g.NeighborsBegin(*p); q != g.NeighborsEnd(*p);
            ++q) {
-        if (!taken.count(*q)) {
-          taken.insert(*q);
+        if (taken[static_cast<size_t>(*q)] != v) {
+          taken[static_cast<size_t>(*q)] = v;
           two_hop.push_back(*q);
         }
       }
@@ -114,8 +114,8 @@ Result<RelativeEntropyIndex> RelativeEntropyIndex::Build(
       ++attempts;
       const int64_t c = static_cast<int64_t>(
           rng.UniformInt(static_cast<uint64_t>(n)));
-      if (!taken.count(c)) {
-        taken.insert(c);
+      if (taken[static_cast<size_t>(c)] != v) {
+        taken[static_cast<size_t>(c)] = v;
         random_remote.push_back(c);
       }
     }

@@ -22,7 +22,17 @@ namespace entropy {
 double JsDivergence(const std::vector<float>& p, const std::vector<float>& q);
 
 /// Precomputes every node's normalised degree sequence once, then answers
-/// pairwise structural-entropy queries in O(len(v) + len(u)).
+/// pairwise structural-entropy queries in O(max(len(v), len(u))).
+///
+/// Alongside each sequence p(v) it caches the terms that depend on v
+/// alone: the self-entropy H(p(v)), and log(p_i(v) / 2) for every entry,
+/// which is log m_i wherever the other sequence's zero padding leaves
+/// m_i = p_i(v) / 2. A pair query therefore computes only H(m): one `log`
+/// per element of the common prefix, one multiply-subtract with a cached
+/// log per element of the longer sequence's tail. The cache costs
+/// (2E + N) doubles plus N offsets and self-entropies. Between(v, u) is
+/// bitwise 1 - JsDivergence(Sequence(v), Sequence(u)): the cached sums
+/// run in JsDivergence's element order and with its expression shapes.
 class StructuralEntropyCalculator {
  public:
   explicit StructuralEntropyCalculator(const graph::Graph& g);
@@ -38,6 +48,12 @@ class StructuralEntropyCalculator {
 
  private:
   std::vector<std::vector<float>> sequences_;
+  // H(p(v)) in nats, summed like JsDivergence sums h_p.
+  std::vector<double> self_entropy_;
+  // log(0.5 * p_i(v)) for every entry of every sequence, node by node;
+  // node v's entries start at half_log_offset_[v].
+  std::vector<double> half_log_;
+  std::vector<size_t> half_log_offset_;
 };
 
 }  // namespace entropy

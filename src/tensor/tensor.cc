@@ -77,10 +77,12 @@ void MaybeAdviseHugePages(void* data, size_t bytes) {
 #endif
 }
 
-std::vector<float> FreshBuffer(size_t n) {
+std::vector<float> FreshBuffer(size_t n, size_t capacity) {
   std::vector<float> buf;
-  buf.reserve(n);
-  MaybeAdviseHugePages(buf.data(), buf.capacity() * sizeof(float));
+  buf.reserve(capacity);
+  // Advise only the n floats resize touches: huge pages over the unused
+  // tail of a rounded-up capacity would be faulted in and count as RSS.
+  MaybeAdviseHugePages(buf.data(), n * sizeof(float));
   buf.resize(n);  // value-initialises (zero) after the advice
   return buf;
 }
@@ -114,8 +116,13 @@ class PoolImpl {
         return buf;
       }
       ++stats_.misses;
+      lock.unlock();
+      // Reserve the bucket's full power of two: Release files the buffer
+      // under FloorLog2(capacity), which is then CeilLog2(n), the bucket
+      // the next Acquire(n) looks in.
+      return FreshBuffer(n, size_t{1} << CeilLog2(n));
     }
-    return FreshBuffer(n);  // value-initialised (zeroed)
+    return FreshBuffer(n, n);  // value-initialised (zeroed)
   }
 
   void Release(std::vector<float> buf) {

@@ -1,0 +1,114 @@
+// The relative-entropy index build written out from public calls, as the
+// reference that RelativeEntropyIndex::Build is checked against: candidate
+// marking through a hash set, FeatureEntropyForPairs over the whole pair
+// set with min-max rescaling, and structural entropy scored as
+// 1 - JsDivergence on the raw degree sequences (no per-node cache). The
+// per-node sequences must match Build's exactly: same ids, same entropy
+// bits, same order.
+
+#ifndef GRAPHRARE_TESTS_ENTROPY_REFERENCE_H_
+#define GRAPHRARE_TESTS_ENTROPY_REFERENCE_H_
+
+#include <algorithm>
+#include <unordered_set>
+#include <vector>
+
+#include "entropy/relative_entropy.h"
+
+namespace graphrare {
+namespace testing_ref {
+
+inline std::vector<entropy::NodeSequences> ReferenceEntropySequences(
+    const graph::Graph& g, const tensor::Tensor& features,
+    const entropy::EntropyOptions& options) {
+  const int64_t n = g.num_nodes();
+  Rng rng(options.seed);
+  const tensor::Tensor z = entropy::EmbedFeatures(features, options.embedding);
+  const entropy::StructuralEntropyCalculator structural(g);
+
+  std::vector<entropy::NodePair> pairs;
+  std::vector<size_t> begin;
+  std::vector<size_t> remote_count;
+  std::unordered_set<int64_t> taken;
+  for (int64_t v = 0; v < n; ++v) {
+    begin.push_back(pairs.size());
+    taken.clear();
+    taken.insert(v);
+    for (const int64_t* p = g.NeighborsBegin(v); p != g.NeighborsEnd(v); ++p) {
+      taken.insert(*p);
+    }
+    std::vector<int64_t> two_hop;
+    for (const int64_t* p = g.NeighborsBegin(v); p != g.NeighborsEnd(v); ++p) {
+      for (const int64_t* q = g.NeighborsBegin(*p); q != g.NeighborsEnd(*p);
+           ++q) {
+        if (taken.insert(*q).second) two_hop.push_back(*q);
+      }
+    }
+    if (static_cast<int>(two_hop.size()) > options.max_two_hop_candidates) {
+      std::vector<int64_t> sampled;
+      for (int64_t i : rng.SampleWithoutReplacement(
+               static_cast<int64_t>(two_hop.size()),
+               options.max_two_hop_candidates)) {
+        sampled.push_back(two_hop[static_cast<size_t>(i)]);
+      }
+      two_hop = std::move(sampled);
+    }
+    std::vector<int64_t> random_remote;
+    int attempts = 0;
+    while (static_cast<int>(random_remote.size()) <
+               options.num_random_candidates &&
+           attempts < options.num_random_candidates * 20) {
+      ++attempts;
+      const int64_t c =
+          static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(n)));
+      if (taken.insert(c).second) random_remote.push_back(c);
+    }
+    for (int64_t c : two_hop) pairs.emplace_back(v, c);
+    for (int64_t c : random_remote) pairs.emplace_back(v, c);
+    remote_count.push_back(two_hop.size() + random_remote.size());
+    for (const int64_t* p = g.NeighborsBegin(v); p != g.NeighborsEnd(v); ++p) {
+      pairs.emplace_back(v, *p);
+    }
+  }
+  begin.push_back(pairs.size());
+
+  std::vector<double> hf = entropy::FeatureEntropyForPairs(z, pairs);
+  if (!hf.empty()) {
+    const auto [mn_it, mx_it] = std::minmax_element(hf.begin(), hf.end());
+    const double mn = *mn_it, range = *mx_it - mn;
+    for (double& h : hf) h = range > 0.0 ? (h - mn) / range : 0.5;
+  }
+
+  std::vector<entropy::NodeSequences> out(static_cast<size_t>(n));
+  for (int64_t v = 0; v < n; ++v) {
+    const size_t sv = static_cast<size_t>(v);
+    entropy::NodeSequences& seq = out[sv];
+    for (size_t i = begin[sv]; i < begin[sv + 1]; ++i) {
+      const int64_t u = pairs[i].second;
+      const double hs = 1.0 - entropy::JsDivergence(structural.Sequence(v),
+                                                    structural.Sequence(u));
+      const double h = hf[i] + options.lambda * hs;
+      if (i - begin[sv] < remote_count[sv]) {
+        seq.remote.push_back({u, h});
+      } else {
+        seq.neighbors.push_back({u, h});
+      }
+    }
+    std::sort(seq.remote.begin(), seq.remote.end(),
+              [](const entropy::ScoredNode& a, const entropy::ScoredNode& b) {
+                return a.entropy != b.entropy ? a.entropy > b.entropy
+                                              : a.node < b.node;
+              });
+    std::sort(seq.neighbors.begin(), seq.neighbors.end(),
+              [](const entropy::ScoredNode& a, const entropy::ScoredNode& b) {
+                return a.entropy != b.entropy ? a.entropy < b.entropy
+                                              : a.node < b.node;
+              });
+  }
+  return out;
+}
+
+}  // namespace testing_ref
+}  // namespace graphrare
+
+#endif  // GRAPHRARE_TESTS_ENTROPY_REFERENCE_H_

@@ -5,15 +5,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "data/generator.h"
+#include "data/registry.h"
 #include "entropy/relative_entropy.h"
+#include "entropy_reference.h"
 
 namespace graphrare {
 namespace entropy {
 namespace {
+
+uint64_t Bits(double x) {
+  uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
 
 TEST(JsDivergenceTest, IdenticalDistributionsGiveZero) {
   std::vector<float> p = {0.5f, 0.3f, 0.2f};
@@ -113,6 +124,33 @@ TEST(StructuralEntropyTest, IsolatedNodeHandled) {
   const double h = calc.Between(2, 0);
   EXPECT_GE(h, 0.0);
   EXPECT_LE(h, 1.0);
+}
+
+// Between answers from per-node cached terms; JsDivergence recomputes
+// everything per pair. They must agree to the bit on every ordered pair.
+void ExpectBetweenBitwiseJs(const graph::Graph& g) {
+  StructuralEntropyCalculator calc(g);
+  for (int64_t v = 0; v < g.num_nodes(); ++v) {
+    for (int64_t u = 0; u < g.num_nodes(); ++u) {
+      const double want =
+          1.0 - JsDivergence(calc.Sequence(v), calc.Sequence(u));
+      ASSERT_EQ(Bits(calc.Between(v, u)), Bits(want))
+          << "v=" << v << " u=" << u << " got " << calc.Between(v, u)
+          << " want " << want;
+    }
+  }
+}
+
+TEST(StructuralEntropyTest, BetweenBitwiseEqualsJsDivergenceOnHubHeavyGraph) {
+  data::Dataset ds = *data::MakeDatasetScaled("chameleon", 4);
+  ExpectBetweenBitwiseJs(ds.graph);
+}
+
+TEST(StructuralEntropyTest, BetweenBitwiseEqualsJsDivergenceWithIsolatedNode) {
+  // A star, a path and isolated node 7: sequences of lengths 1 to 5.
+  graph::Graph g = graph::Graph::FromEdgeListOrDie(
+      8, {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {4, 5}, {5, 6}});
+  ExpectBetweenBitwiseJs(g);
 }
 
 // ---- Feature entropy --------------------------------------------------------
@@ -390,6 +428,79 @@ TEST(RelativeEntropyIndexTest, ValidationErrors) {
   // Feature row mismatch.
   tensor::Tensor bad(ds.num_nodes() + 1, 4);
   EXPECT_FALSE(RelativeEntropyIndex::Build(ds.graph, bad, {}).ok());
+}
+
+// ---- Build against the reference copy ---------------------------------------
+
+void ExpectMatchesReference(const data::Dataset& ds,
+                            const EntropyOptions& opts) {
+  const RelativeEntropyIndex index =
+      *RelativeEntropyIndex::Build(ds.graph, ds.features, opts);
+  const std::vector<NodeSequences> ref =
+      testing_ref::ReferenceEntropySequences(ds.graph, ds.features, opts);
+  ASSERT_EQ(index.num_nodes(), static_cast<int64_t>(ref.size()));
+  const auto expect_same = [](const std::vector<ScoredNode>& got,
+                              const std::vector<ScoredNode>& want,
+                              int64_t v, const char* which) {
+    ASSERT_EQ(got.size(), want.size()) << which << " of node " << v;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].node, want[i].node) << which << " of node " << v;
+      ASSERT_EQ(Bits(got[i].entropy), Bits(want[i].entropy))
+          << which << " of node " << v << " at " << i;
+    }
+  };
+  for (int64_t v = 0; v < index.num_nodes(); ++v) {
+    const NodeSequences& want = ref[static_cast<size_t>(v)];
+    expect_same(index.sequences(v).remote, want.remote, v, "remote");
+    expect_same(index.sequences(v).neighbors, want.neighbors, v, "neighbors");
+  }
+}
+
+// Largest distinct 2-hop candidate set of any node (excluding the node and
+// its neighbours), i.e. what Build samples down to max_two_hop_candidates.
+size_t MaxTwoHopCandidates(const graph::Graph& g) {
+  size_t mx = 0;
+  for (int64_t v = 0; v < g.num_nodes(); ++v) {
+    std::unordered_set<int64_t> seen = {v};
+    for (const int64_t* p = g.NeighborsBegin(v); p != g.NeighborsEnd(v); ++p) {
+      seen.insert(*p);
+    }
+    const size_t excluded = seen.size();
+    for (const int64_t* p = g.NeighborsBegin(v); p != g.NeighborsEnd(v); ++p) {
+      seen.insert(g.NeighborsBegin(*p), g.NeighborsEnd(*p));
+    }
+    mx = std::max(mx, seen.size() - excluded);
+  }
+  return mx;
+}
+
+TEST(RelativeEntropyIndexTest, BuildMatchesReferenceWithTwoHopSampling) {
+  data::Dataset ds = *data::MakeDatasetScaled("chameleon", 4);
+  EntropyOptions opts;
+  ASSERT_GT(MaxTwoHopCandidates(ds.graph),
+            static_cast<size_t>(opts.max_two_hop_candidates))
+      << "no node reaches the 2-hop cap, so sampling is not exercised";
+  ExpectMatchesReference(ds, opts);
+
+  opts.max_two_hop_candidates = 3;
+  opts.lambda = 0.5;
+  ExpectMatchesReference(ds, opts);
+}
+
+TEST(RelativeEntropyIndexTest, BuildMatchesReferenceWithRandomCandidatesOnly) {
+  data::Dataset ds = *data::MakeDatasetScaled("chameleon", 4);
+  EntropyOptions opts;
+  opts.max_two_hop_candidates = 0;
+  opts.num_random_candidates = 8;
+  ExpectMatchesReference(ds, opts);
+}
+
+TEST(RelativeEntropyIndexTest, BuildMatchesReferenceWithRawFeatures) {
+  // projection_dim = 0 keeps phi = identity, the path that copies features.
+  data::Dataset ds = TestDataset();
+  EntropyOptions opts;
+  opts.embedding.projection_dim = 0;
+  ExpectMatchesReference(ds, opts);
 }
 
 TEST(DenseEntropyMatrixTest, SymmetricWithEmptyDiagonal) {

@@ -364,6 +364,36 @@ TEST(TensorPoolTest, ReusesBuffersWithoutAliasing) {
   EXPECT_NE(w.data(), copy.data());
 }
 
+// Same contract for a size that is not a power of two (300 * 300 floats):
+// a freed buffer must serve the next request of its own size.
+TEST(TensorPoolTest, ReusesNonPowerOfTwoBuffersWithoutAliasing) {
+  if (!TensorPool::Enabled()) {
+    GTEST_SKIP() << "pool compiled out (sanitizer build) or disabled";
+  }
+  TensorPool::Clear();
+  const TensorPool::Stats before = TensorPool::GetStats();
+
+  const float* recycled = nullptr;
+  {
+    Tensor t(300, 300);
+    recycled = t.data();
+    t.Fill(42.0f);
+  }  // buffer returns to the pool here
+  Tensor u(300, 300);
+  EXPECT_EQ(u.data(), recycled) << "freed buffer was not recycled";
+  const TensorPool::Stats after = TensorPool::GetStats();
+  EXPECT_GT(after.hits, before.hits);
+  for (int64_t i = 0; i < u.numel(); ++i) ASSERT_EQ(u[i], 0.0f);
+
+  Tensor copy = u;
+  EXPECT_NE(copy.data(), u.data());
+  copy.Fill(7.0f);
+  EXPECT_EQ(u[0], 0.0f);
+  Tensor w(300, 300);
+  EXPECT_NE(w.data(), u.data());
+  EXPECT_NE(w.data(), copy.data());
+}
+
 TEST(TensorPoolTest, MoveTransfersOwnership) {
   if (!TensorPool::Enabled()) {
     GTEST_SKIP() << "pool compiled out (sanitizer build) or disabled";
