@@ -1,9 +1,11 @@
 // Command-line runner: train any backbone with or without GraphRARE on any
-// registry dataset, export telemetry, the optimized graph, and a
-// deployable model artifact. Unknown flags are rejected (exit status 2).
+// registry dataset or dataset file, export telemetry, the optimized graph,
+// and a deployable model artifact. Unknown flags are rejected before any
+// work starts, and flag values that do not parse or are out of range
+// before any training starts, both with exit status 2.
 //
 // Usage:
-//   graphrare_cli [--dataset=cornell] [--backbone=gcn] [--rare]
+//   graphrare_cli [--dataset=cornell|PATH] [--backbone=gcn] [--rare]
 //                 [--splits=3] [--iterations=20] [--lambda=1.0]
 //                 [--k-max=5] [--d-max=5] [--seed=1] [--lr=0.01]
 //                 [--minibatch] [--fanouts=10,10] [--batch-size=256]
@@ -15,6 +17,15 @@
 //                 [--rl-entropy-refresh] [--csr-reorder=degree|rcm]
 //                 [--telemetry=out.csv] [--save-graph=out.graph]
 //                 [--save-artifact=model.grare]
+//
+// --dataset takes a registry name (data::ListDatasets) or, failing that,
+// the path of a dataset file in the "# graphrare-dataset v1" format (see
+// src/data/io.h). A file is how real graphs, such as the paper's Table II
+// datasets, enter the pipeline; nothing is downloaded.
+//
+// Numeric flags parse strictly: --iterations=2x or --seed=-1 exits 2 and
+// names the flag, and so does a value the run options reject (say
+// --iterations=0).
 //
 // --seed is the single master seed: it fans out to the dataset generator,
 // splits, entropy candidate sampling, PPO, the neighbor sampler, and the
@@ -62,9 +73,9 @@
 //   ./build/examples/graphrare_serve --artifact=model.grare --topk=3
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <set>
 #include <string>
@@ -73,6 +84,7 @@
 
 #include "core/graphrare.h"
 #include "core/telemetry.h"
+#include "data/io.h"
 #include "graph/io.h"
 #include "graph/reorder.h"
 
@@ -121,19 +133,42 @@ class Flags {
     const auto it = Find(key);
     return it == values_.end() ? def : it->second;
   }
+  // Numeric getters parse the whole value strictly; anything else exits 2
+  // naming the flag, as an unknown flag does.
   double GetDouble(const std::string& key, double def) const {
     const auto it = Find(key);
-    return it == values_.end() ? def : std::atof(it->second.c_str());
+    if (it == values_.end()) return def;
+    double v = 0.0;
+    if (!ParseDouble(it->second, &v)) Invalid(key, "a number");
+    return v;
   }
   int GetInt(const std::string& key, int def) const {
     const auto it = Find(key);
-    return it == values_.end() ? def : std::atoi(it->second.c_str());
+    if (it == values_.end()) return def;
+    int64_t v = 0;
+    if (!ParseInt64(it->second, &v) || v < INT_MIN || v > INT_MAX) {
+      Invalid(key, "an integer");
+    }
+    return static_cast<int>(v);
+  }
+  uint64_t GetUint64(const std::string& key, uint64_t def) const {
+    const auto it = Find(key);
+    if (it == values_.end()) return def;
+    uint64_t v = 0;
+    if (!ParseUint64(it->second, &v)) Invalid(key, "a non-negative integer");
+    return v;
   }
   bool GetBool(const std::string& key) const {
     return Find(key) != values_.end();
   }
 
  private:
+  [[noreturn]] void Invalid(const std::string& key, const char* want) const {
+    std::fprintf(stderr, "invalid --%s=%s (want %s)\n", key.c_str(),
+                 values_.at(key).c_str(), want);
+    std::exit(2);
+  }
+
   /// Reading a flag missing from KnownFlags() is a bug in this file: the
   /// constructor would have rejected it on the command line.
   std::map<std::string, std::string>::const_iterator Find(
@@ -144,6 +179,29 @@ class Flags {
 
   std::map<std::string, std::string> values_;
 };
+
+/// Exits 2 when the run options assembled from the flags are out of range;
+/// the message names the offending setting.
+void ExitIfInvalid(const Status& s) {
+  if (s.ok()) return;
+  std::fprintf(stderr, "invalid flag value: %s\n", s.message().c_str());
+  std::exit(2);
+}
+
+/// --dataset: a registry name, else a dataset file (data/io.h format).
+/// Exits 1 naming both lookups when neither works.
+data::Dataset LoadDatasetFlag(const std::string& spec, uint64_t seed) {
+  auto registry_or = data::MakeDataset(spec, seed);
+  if (registry_or.ok()) return std::move(registry_or).value();
+  auto file_or = data::LoadDataset(spec);
+  if (file_or.ok()) return std::move(file_or).value();
+  std::fprintf(stderr,
+               "error: --dataset=%s is neither a registry dataset (%s) nor "
+               "a loadable dataset file: %s\n",
+               spec.c_str(), StrJoin(data::ListDatasets(), ", ").c_str(),
+               file_or.status().ToString().c_str());
+  std::exit(1);
+}
 
 /// Parses "10,10,5" into a fanout vector (-1 entries = unlimited fanout).
 std::vector<int64_t> ParseFanouts(const std::string& spec) {
@@ -242,20 +300,80 @@ int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kWarning);
   const Flags flags(argc, argv);
 
+  // Every flag is read, parsed and range-checked here, whatever the mode,
+  // so a bad value exits 2 before any work starts.
   const std::string dataset_name = flags.Get("dataset", "cornell");
   const std::string backbone_name = flags.Get("backbone", "gcn");
   const int num_splits = flags.GetInt("splits", 3);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  if (num_splits < 1) {
+    std::fprintf(stderr, "invalid --splits=%d (want >= 1)\n", num_splits);
+    return 2;
+  }
+  const uint64_t seed = flags.GetUint64("seed", 1);
   // The one master seed: every subsystem seed below derives from it.
   const core::DerivedSeeds seeds = core::DeriveSeeds(seed);
+  const float lr = static_cast<float>(flags.GetDouble("lr", 0.01));
 
-  auto dataset_or = data::MakeDataset(dataset_name, seed);
-  if (!dataset_or.ok()) {
-    std::fprintf(stderr, "error: %s\n", dataset_or.status().ToString().c_str());
-    return 1;
+  core::MiniBatchOptions mb;
+  const std::string fanout_spec = flags.Get("fanouts", "10,10");
+  mb.sampler.fanouts = ParseFanouts(fanout_spec);
+  mb.sampler.replace = flags.GetBool("sample-replace");
+  mb.sampler.seed = seeds.sampler;
+  mb.batch_size = flags.GetInt("batch-size", 256);
+  mb.max_epochs = flags.GetInt("epochs", 100);
+  mb.patience = flags.GetInt("patience", 20);
+  ExitIfInvalid(mb.Validate());
+
+  core::GraphRareOptions opts;
+  opts.adam.lr = lr;
+  opts.iterations = flags.GetInt("iterations", 20);
+  opts.entropy.lambda = flags.GetDouble("lambda", 1.0);
+  opts.k_max = flags.GetInt("k-max", 5);
+  opts.d_max = flags.GetInt("d-max", 5);
+  opts.seed = seed;
+  ExitIfInvalid(opts.Validate());
+
+  const int rl_blocks = flags.GetInt("rl-blocks", 0);
+  core::BlockRolloutOptions rollout;
+  rollout.blocks_per_round = rl_blocks;
+  const std::string block_fanout_spec = flags.Get("rl-block-fanouts", "10,10");
+  rollout.fanouts = block_fanout_spec == "full"
+                        ? std::vector<int64_t>{}
+                        : ParseFanouts(block_fanout_spec);
+  rollout.seeds_per_block = flags.GetInt("rl-block-seeds", 64);
+  rollout.sample_replace = flags.GetBool("sample-replace");
+  rollout.steps_per_episode = flags.GetInt("rl-steps", 4);
+  const std::string partition = flags.Get("rl-partition", "independent");
+  if (partition == "locality") {
+    rollout.partition = data::PartitionMode::kLocality;
+  } else if (partition != "independent") {
+    std::fprintf(stderr, "invalid --rl-partition: %s "
+                 "(want independent or locality)\n", partition.c_str());
+    return 2;
   }
-  data::Dataset dataset = std::move(dataset_or).value();
-  MaybeReorderDataset(flags, &dataset);
+  rollout.prefetch_depth = flags.GetInt("rl-prefetch-depth", 1);
+  rollout.num_producers = flags.GetInt("rl-producers", 1);
+  rollout.refresh_entropy = flags.GetBool("rl-entropy-refresh");
+  // The locality partitioner seed comes from the master seed like every
+  // other subsystem (RunBlockCoTraining re-derives it per split, but
+  // setting it here keeps direct BlockRolloutRunner uses pinned too).
+  rollout.partition_seed = seeds.partition;
+  if (rl_blocks != 0) ExitIfInvalid(rollout.Validate());
+
+  // Guarded before any training branch so the flag is never silently
+  // dropped: only the --rare paths retain a deployable model.
+  if (!flags.Get("save-artifact", "").empty() && !flags.GetBool("rare")) {
+    std::fprintf(stderr,
+                 "error: --save-artifact requires --rare (baseline runs "
+                 "train one throwaway model per split)\n");
+    return 2;
+  }
+  if (flags.GetBool("minibatch") && flags.GetBool("rare")) {
+    std::fprintf(stderr,
+                 "error: --minibatch and --rare cannot be combined; "
+                 "GraphRARE co-training is full-graph only for now\n");
+    return 2;
+  }
 
   auto backbone_or = nn::BackboneFromName(backbone_name);
   if (!backbone_or.ok()) {
@@ -263,6 +381,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   const nn::BackboneKind backbone = *backbone_or;
+  opts.backbone = backbone;
+
+  data::Dataset dataset = LoadDatasetFlag(dataset_name, seed);
+  MaybeReorderDataset(flags, &dataset);
 
   data::SplitOptions so;
   so.num_splits = num_splits;
@@ -275,39 +397,16 @@ int main(int argc, char** argv) {
               static_cast<long long>(dataset.graph.num_edges()),
               dataset.Homophily(), nn::BackboneName(backbone));
 
-  // Guarded before any training branch so the flag is never silently
-  // dropped: only the --rare paths retain a deployable model.
-  if (!flags.Get("save-artifact", "").empty() && !flags.GetBool("rare")) {
-    std::fprintf(stderr,
-                 "error: --save-artifact requires --rare (baseline runs "
-                 "train one throwaway model per split)\n");
-    return 2;
-  }
-
   if (flags.GetBool("minibatch")) {
-    if (flags.GetBool("rare")) {
-      std::fprintf(stderr,
-                   "error: --minibatch and --rare cannot be combined; "
-                   "GraphRARE co-training is full-graph only for now\n");
-      return 2;
-    }
-    core::ExperimentOptions opts;
-    opts.num_splits = num_splits;
-    opts.adam.lr = static_cast<float>(flags.GetDouble("lr", 0.01));
-    opts.seed = seed;
-    core::MiniBatchOptions mb;
-    mb.sampler.fanouts = ParseFanouts(flags.Get("fanouts", "10,10"));
-    mb.sampler.replace = flags.GetBool("sample-replace");
-    mb.sampler.seed = seeds.sampler;
-    mb.batch_size = flags.GetInt("batch-size", 256);
-    mb.max_epochs = flags.GetInt("epochs", 100);
-    mb.patience = flags.GetInt("patience", 20);
+    core::ExperimentOptions exp;
+    exp.num_splits = num_splits;
+    exp.adam.lr = lr;
+    exp.seed = seed;
     const auto agg =
-        core::RunBackboneMiniBatch(dataset, splits, backbone, opts, mb);
-    std::printf("minibatch (batch=%d, fanouts=%s) test accuracy: "
+        core::RunBackboneMiniBatch(dataset, splits, backbone, exp, mb);
+    std::printf("minibatch (batch=%lld, fanouts=%s) test accuracy: "
                 "%.2f%% (±%.2f) over %d splits\n",
-                flags.GetInt("batch-size", 256),
-                flags.Get("fanouts", "10,10").c_str(),
+                static_cast<long long>(mb.batch_size), fanout_spec.c_str(),
                 100.0 * agg.accuracy.mean, 100.0 * agg.accuracy.stddev,
                 num_splits);
     std::printf("seconds/epoch: %.4f\n", agg.seconds_per_epoch);
@@ -315,11 +414,11 @@ int main(int argc, char** argv) {
   }
 
   if (!flags.GetBool("rare")) {
-    core::ExperimentOptions opts;
-    opts.num_splits = num_splits;
-    opts.adam.lr = static_cast<float>(flags.GetDouble("lr", 0.01));
-    opts.seed = seed;
-    const auto agg = core::RunBackbone(dataset, splits, backbone, opts);
+    core::ExperimentOptions exp;
+    exp.num_splits = num_splits;
+    exp.adam.lr = lr;
+    exp.seed = seed;
+    const auto agg = core::RunBackbone(dataset, splits, backbone, exp);
     std::printf("test accuracy: %.2f%% (±%.2f) over %d splits\n",
                 100.0 * agg.accuracy.mean, 100.0 * agg.accuracy.stddev,
                 num_splits);
@@ -327,45 +426,11 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  core::GraphRareOptions opts;
-  opts.backbone = backbone;
-  opts.adam.lr = static_cast<float>(flags.GetDouble("lr", 0.01));
-  opts.iterations = flags.GetInt("iterations", 20);
-  opts.entropy.lambda = flags.GetDouble("lambda", 1.0);
-  opts.k_max = flags.GetInt("k-max", 5);
-  opts.d_max = flags.GetInt("d-max", 5);
-  opts.seed = seed;
-
-  const int rl_blocks = flags.GetInt("rl-blocks", 0);
   if (rl_blocks > 0) {
-    core::BlockRolloutOptions rollout;
-    rollout.blocks_per_round = rl_blocks;
-    const std::string fanout_spec = flags.Get("rl-block-fanouts", "10,10");
-    rollout.fanouts = fanout_spec == "full"
-                          ? std::vector<int64_t>{}
-                          : ParseFanouts(fanout_spec);
-    rollout.seeds_per_block = flags.GetInt("rl-block-seeds", 64);
-    rollout.sample_replace = flags.GetBool("sample-replace");
-    rollout.steps_per_episode = flags.GetInt("rl-steps", 4);
-    const std::string partition = flags.Get("rl-partition", "independent");
-    if (partition == "locality") {
-      rollout.partition = data::PartitionMode::kLocality;
-    } else if (partition != "independent") {
-      std::fprintf(stderr, "invalid --rl-partition: %s "
-                   "(want independent or locality)\n", partition.c_str());
-      return 2;
-    }
-    rollout.prefetch_depth = flags.GetInt("rl-prefetch-depth", 1);
-    rollout.num_producers = flags.GetInt("rl-producers", 1);
-    rollout.refresh_entropy = flags.GetBool("rl-entropy-refresh");
-    // The locality partitioner seed comes from the master seed like every
-    // other subsystem (RunBlockCoTraining re-derives it per split, but
-    // setting it here keeps direct BlockRolloutRunner uses pinned too).
-    rollout.partition_seed = seeds.partition;
     const auto agg = core::RunGraphRareBlocks(dataset, splits, opts, rollout);
     std::printf("block co-training (B=%d, fanouts=%s, partition=%s, "
                 "prefetch=%d) test accuracy: %.2f%% (±%.2f) over %d splits\n",
-                rl_blocks, fanout_spec.c_str(), partition.c_str(),
+                rl_blocks, block_fanout_spec.c_str(), partition.c_str(),
                 rollout.prefetch_depth, 100.0 * agg.accuracy.mean,
                 100.0 * agg.accuracy.stddev, num_splits);
     std::printf("homophily: %.3f -> %.3f, entropy build %.3fs, "

@@ -14,6 +14,10 @@
 //                   [--batch-budget-ms=0] [--breaker-threshold=3]
 //                   [--breaker-cooldown-ms=5000]
 //
+// Numeric flags parse strictly: a value that is not wholly a number of the
+// flag's type (--topk=3x, --seed=-1) exits 2 and names the flag, as an
+// unknown flag does.
+//
 // Robustness knobs (HTTP mode): --deadline-ms gives every /v1/predict and
 // /v1/topk request a default deadline (clients override per request with
 // X-Deadline-Ms); queued work that outlives its deadline is shed with
@@ -40,9 +44,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -80,6 +86,32 @@ void InstallSignalHandlers() {
                     // the CLI loop can drain and report
   sigaction(SIGINT, &sa, nullptr);
   sigaction(SIGTERM, &sa, nullptr);
+}
+
+/// Strict numeric flag values; anything else exits 2 naming the flag.
+[[noreturn]] void InvalidFlag(const std::string& arg, const char* want) {
+  std::fprintf(stderr, "invalid %s (want %s)\n", arg.c_str(), want);
+  std::exit(2);
+}
+
+int IntFlag(const std::string& arg, const char* v) {
+  int64_t x = 0;
+  if (!ParseInt64(v, &x) || x < INT_MIN || x > INT_MAX) {
+    InvalidFlag(arg, "an integer");
+  }
+  return static_cast<int>(x);
+}
+
+uint64_t Uint64Flag(const std::string& arg, const char* v) {
+  uint64_t x = 0;
+  if (!ParseUint64(v, &x)) InvalidFlag(arg, "a non-negative integer");
+  return x;
+}
+
+double DoubleFlag(const std::string& arg, const char* v) {
+  double x = 0.0;
+  if (!ParseDouble(v, &x)) InvalidFlag(arg, "a number");
+  return x;
 }
 
 void PrintLatencySummary(const char* label, const LatencySummary& s) {
@@ -152,27 +184,27 @@ int main(int argc, char** argv) {
     } else if (const char* v = value("--fanouts=")) {
       fanout_spec = v;
     } else if (const char* v = value("--topk=")) {
-      topk = std::atoi(v);
+      topk = IntFlag(arg, v);
     } else if (const char* v = value("--seed=")) {
-      seed = static_cast<uint64_t>(std::atoll(v));
+      seed = Uint64Flag(arg, v);
     } else if (const char* v = value("--http=")) {
-      http_port = std::atoi(v);
+      http_port = IntFlag(arg, v);
     } else if (const char* v = value("--max-batch=")) {
-      batcher_opts.max_batch = std::atoi(v);
+      batcher_opts.max_batch = IntFlag(arg, v);
     } else if (const char* v = value("--max-delay-ms=")) {
-      batcher_opts.max_queue_delay_ms = std::atof(v);
+      batcher_opts.max_queue_delay_ms = DoubleFlag(arg, v);
     } else if (const char* v = value("--workers=")) {
-      batcher_opts.num_workers = std::atoi(v);
+      batcher_opts.num_workers = IntFlag(arg, v);
     } else if (const char* v = value("--slo-ms=")) {
-      slo_ms = std::atof(v);
+      slo_ms = DoubleFlag(arg, v);
     } else if (const char* v = value("--deadline-ms=")) {
-      deadline_ms = std::atof(v);
+      deadline_ms = DoubleFlag(arg, v);
     } else if (const char* v = value("--batch-budget-ms=")) {
-      batcher_opts.batch_budget_ms = std::atof(v);
+      batcher_opts.batch_budget_ms = DoubleFlag(arg, v);
     } else if (const char* v = value("--breaker-threshold=")) {
-      breaker_threshold = std::atoi(v);
+      breaker_threshold = IntFlag(arg, v);
     } else if (const char* v = value("--breaker-cooldown-ms=")) {
-      breaker_cooldown_ms = std::atof(v);
+      breaker_cooldown_ms = DoubleFlag(arg, v);
     } else {
       std::fprintf(stderr, "unrecognised argument: %s\n", arg.c_str());
       return 2;

@@ -8,6 +8,7 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -78,9 +79,8 @@ bool ParseErrno(const std::string& name, int* err) {
     *err = it->second;
     return true;
   }
-  char* end = nullptr;
-  const long v = std::strtol(name.c_str(), &end, 10);
-  if (end == name.c_str() || *end != '\0' || v <= 0) return false;
+  int64_t v = 0;
+  if (!ParseInt64(name, &v) || v <= 0 || v > INT_MAX) return false;
   *err = static_cast<int>(v);
   return true;
 }
@@ -99,10 +99,10 @@ Status ParseSpec(const std::string& raw, SiteConfig* out) {
   const size_t pct = spec.find('%');
   if (pct != std::string::npos && pct > 0 &&
       spec.find_first_not_of("0123456789.", 0) == pct) {
-    const double p = std::atof(spec.substr(0, pct).c_str());
-    if (p <= 0.0 || p > 100.0) {
+    double p = 0.0;
+    if (!ParseDouble(spec.substr(0, pct), &p) || p <= 0.0 || p > 100.0) {
       return Status::InvalidArgument(
-          StrFormat("failpoint probability out of (0, 100]: '%s'",
+          StrFormat("failpoint probability not a number in (0, 100]: '%s'",
                     raw.c_str()));
     }
     cfg.probability = p / 100.0;
@@ -115,9 +115,10 @@ Status ParseSpec(const std::string& raw, SiteConfig* out) {
     if (close == std::string::npos) {
       return Status::InvalidArgument("failpoint: unclosed after(): " + raw);
     }
-    cfg.skip_first = std::atoll(spec.substr(pos + 6, close - pos - 6).c_str());
-    if (cfg.skip_first < 0) {
-      return Status::InvalidArgument("failpoint: negative after(): " + raw);
+    if (!ParseInt64(spec.substr(pos + 6, close - pos - 6), &cfg.skip_first) ||
+        cfg.skip_first < 0) {
+      return Status::InvalidArgument(
+          "failpoint: after(N) needs an integer N >= 0: " + raw);
     }
     pos = close + 1;
   }
@@ -126,8 +127,8 @@ Status ParseSpec(const std::string& raw, SiteConfig* out) {
   const size_t star = spec.find('*', pos);
   if (star != std::string::npos &&
       spec.find_first_not_of("0123456789", pos) == star) {
-    cfg.max_hits = std::atoll(spec.substr(pos, star - pos).c_str());
-    if (cfg.max_hits < 1) {
+    if (!ParseInt64(spec.substr(pos, star - pos), &cfg.max_hits) ||
+        cfg.max_hits < 1) {
       return Status::InvalidArgument("failpoint: bad hit count: " + raw);
     }
     pos = star + 1;
@@ -157,10 +158,12 @@ Status ParseSpec(const std::string& raw, SiteConfig* out) {
     cfg.action.kind = Action::Kind::kShort;
   } else if (kind == "delay") {
     cfg.action.kind = Action::Kind::kDelay;
-    cfg.action.delay_ms = std::atoi(arg.c_str());
-    if (cfg.action.delay_ms < 0) {
-      return Status::InvalidArgument("failpoint: negative delay: " + raw);
+    int64_t ms = 0;
+    if (!ParseInt64(arg, &ms) || ms < 0 || ms > INT_MAX) {
+      return Status::InvalidArgument(
+          "failpoint: delay(MS) needs an integer MS in [0, INT_MAX]: " + raw);
     }
+    cfg.action.delay_ms = static_cast<int>(ms);
   } else {
     return Status::InvalidArgument(
         StrFormat("failpoint: unknown action '%s' in '%s'", kind.c_str(),

@@ -24,6 +24,11 @@
 //              "after(2)error(ENOSPC)" fails the third write onward
 //   M*         fire at most M times, then fall dormant, e.g. "3*eintr"
 //
+// Numbers parse strictly: N >= 0 and M >= 1 are base-10 integers, MS an
+// integer in [0, INT_MAX], E a positive int or a name, P a decimal in
+// (0, 100]. A spec with anything else ("after(x)", "delay(5ms)",
+// "50.5.5%") is rejected as a whole.
+//
 // Sites are plain strings; the serving tier uses "net.read", "net.write",
 // "net.accept", "net.epoll_wait", "artifact.open", "artifact.read",
 // "artifact.write", "artifact.fsync", "artifact.rename", "batcher.batch".

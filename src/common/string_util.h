@@ -1,10 +1,14 @@
 // Copyright 2026 The GraphRARE Authors.
 //
-// Small string helpers used by table printers and diagnostics.
+// Small string helpers used by table printers, diagnostics and the strict
+// parsers of numbers that come from outside the program (flags, specs).
 
 #ifndef GRAPHRARE_COMMON_STRING_UTIL_H_
 #define GRAPHRARE_COMMON_STRING_UTIL_H_
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
@@ -46,6 +50,51 @@ inline std::string StrJoin(const std::vector<std::string>& parts,
   return out;
 }
 
+/// Strict base-10 integer parse: the whole of `s` must be one integer
+/// (optional sign, no surrounding whitespace) that fits in int64_t.
+/// Returns false, leaving *out unchanged, on anything else ("", "2x",
+/// " 2", "1e3", out of range).
+inline bool ParseInt64(const std::string& s, int64_t* out) {
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s[0]))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(s.c_str(), &end, 10);
+  if (end != s.c_str() + s.size() || errno == ERANGE) return false;
+  *out = static_cast<int64_t>(v);
+  return true;
+}
+
+/// ParseInt64 for an unsigned value: digits only, within uint64_t.
+inline bool ParseUint64(const std::string& s, uint64_t* out) {
+  if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0]))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  if (end != s.c_str() + s.size() || errno == ERANGE) return false;
+  *out = static_cast<uint64_t>(v);
+  return true;
+}
+
+/// Strict floating-point parse: the whole of `s` must be one finite
+/// number (no surrounding whitespace, no inf or nan, no overflow).
+inline bool ParseDouble(const std::string& s, double* out) {
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s[0]))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (end != s.c_str() + s.size() || errno == ERANGE || !std::isfinite(v)) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 /// Parses a comma-separated integer list ("10,10,-1") into *out
 /// (appending). Returns false — leaving *out in an unspecified state — on
 /// empty tokens or any non-integer junk ("10x", "", "1,,2"). Range
@@ -57,13 +106,9 @@ inline bool ParseInt64List(const std::string& spec,
   while (begin <= spec.size()) {
     size_t end = spec.find(',', begin);
     if (end == std::string::npos) end = spec.size();
-    const std::string token = spec.substr(begin, end - begin);
-    char* parse_end = nullptr;
-    const long long v = std::strtoll(token.c_str(), &parse_end, 10);
-    if (token.empty() || parse_end != token.c_str() + token.size()) {
-      return false;
-    }
-    out->push_back(static_cast<int64_t>(v));
+    int64_t v = 0;
+    if (!ParseInt64(spec.substr(begin, end - begin), &v)) return false;
+    out->push_back(v);
     begin = end + 1;
   }
   return true;

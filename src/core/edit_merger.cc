@@ -34,18 +34,6 @@ void EditMerger::RecordBlock(const graph::Subgraph& block,
   }
 }
 
-int64_t EditMerger::num_pending_additions() const {
-  int64_t n = 0;
-  for (const auto& [v, e] : edits_) n += static_cast<int64_t>(e.add.size());
-  return n;
-}
-
-int64_t EditMerger::num_pending_removals() const {
-  int64_t n = 0;
-  for (const auto& [v, e] : edits_) n += static_cast<int64_t>(e.remove.size());
-  return n;
-}
-
 graph::Graph EditMerger::Merge(const graph::Graph& original) const {
   graph::GraphEditor editor(&original);
   for (const auto& [v, edits] : edits_) {

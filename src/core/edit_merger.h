@@ -66,8 +66,6 @@ class EditMerger {
   int64_t num_nodes_recorded() const {
     return static_cast<int64_t>(edits_.size());
   }
-  int64_t num_pending_additions() const;
-  int64_t num_pending_removals() const;
 
   /// Opens a new conflict-accounting window: round_stats() then covers the
   /// records between this call and the next. Without a BeginRound call the
@@ -80,12 +78,6 @@ class EditMerger {
   /// result is independent of container iteration quirks). Removals win
   /// over additions of the same edge, as in graph::GraphEditor.
   graph::Graph Merge(const graph::Graph& original) const;
-
-  void Clear() {
-    edits_.clear();
-    round_records_.clear();
-    round_stats_ = ConflictStats();
-  }
 
  private:
   std::map<int64_t, NodeEdits> edits_;

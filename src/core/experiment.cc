@@ -216,9 +216,5 @@ int BenchNumSplits(int full_scale, int quick) {
   return BenchFullScale() ? full_scale : quick;
 }
 
-int64_t BenchShrink(int64_t quick_shrink) {
-  return BenchFullScale() ? 1 : quick_shrink;
-}
-
 }  // namespace core
 }  // namespace graphrare

@@ -118,8 +118,6 @@ GraphRareAggregate RunGraphRareBlocks(const data::Dataset& dataset,
 /// suite completes in minutes on a laptop CPU.
 bool BenchFullScale();
 int BenchNumSplits(int full_scale = 10, int quick = 2);
-/// Dataset shrink factor in quick mode (1 in full scale).
-int64_t BenchShrink(int64_t quick_shrink);
 
 }  // namespace core
 }  // namespace graphrare

@@ -80,10 +80,6 @@ SimpGcnStarModel::SimpGcnStarModel(
   theta_ = RegisterParameter("theta", tensor::Tensor::Scalar(0.0f));
 }
 
-float SimpGcnStarModel::MixingWeight() const {
-  return 1.0f / (1.0f + std::exp(-theta_.value().scalar()));
-}
-
 Variable SimpGcnStarModel::Logits(const nn::ModelInputs& in, bool training,
                                   Rng* rng) const {
   GR_CHECK(in.graph != nullptr);

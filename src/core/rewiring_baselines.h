@@ -58,9 +58,6 @@ class SimpGcnStarModel : public nn::NodeClassifier {
   /// Reported as GCN-family (custom baselines have no dedicated enum).
   nn::BackboneKind kind() const override { return nn::BackboneKind::kGcn; }
 
-  /// Current mixing weight sigmoid(theta) (diagnostics).
-  float MixingWeight() const;
-
  private:
   std::unique_ptr<nn::Linear> lin1_;
   std::unique_ptr<nn::Linear> lin2_;

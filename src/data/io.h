@@ -2,7 +2,8 @@
 //
 // Text persistence for whole datasets (graph + labels + sparse binary
 // features), so generated twins and optimized topologies can move between
-// processes and tools. Format ("# graphrare-dataset v1"):
+// processes and tools, and so real graphs can be fed to
+// `graphrare_cli --dataset=PATH`. Format ("# graphrare-dataset v1"):
 //
 //   # graphrare-dataset v1
 //   name <name>
@@ -27,10 +28,12 @@ namespace graphrare {
 namespace data {
 
 /// Writes the dataset to `path`. Features must be binary (0/1), which all
-/// generator outputs are; non-binary features are rejected.
+/// generator outputs are; non-binary features are rejected. No binary calls
+/// this: it is kept as the reference writer of the format LoadDataset (and
+/// so graphrare_cli --dataset=PATH) reads, which the round-trip tests pin.
 Status SaveDataset(const Dataset& dataset, const std::string& path);
 
-/// Reads a dataset written by SaveDataset.
+/// Reads a dataset in the format above (as written by SaveDataset).
 Result<Dataset> LoadDataset(const std::string& path);
 
 }  // namespace data

@@ -173,14 +173,6 @@ Result<RelativeEntropyIndex> RelativeEntropyIndex::Build(
   return index;
 }
 
-int64_t RelativeEntropyIndex::MaxRemoteLength() const {
-  int64_t mx = 0;
-  for (const auto& s : sequences_) {
-    mx = std::max(mx, static_cast<int64_t>(s.remote.size()));
-  }
-  return mx;
-}
-
 RelativeEntropyIndex RelativeEntropyIndex::Restrict(
     const graph::Subgraph& block) const {
   RelativeEntropyIndex out;

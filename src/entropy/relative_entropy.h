@@ -75,9 +75,6 @@ class RelativeEntropyIndex {
   }
   double lambda() const { return lambda_; }
 
-  /// Longest remote sequence over all nodes (bound for k_max).
-  int64_t MaxRemoteLength() const;
-
   /// In-place shuffle of every sequence (the "GraphRARE without relative
   /// entropy" ablation, Table V row GCN-RA).
   void ShuffleSequences(Rng* rng);

@@ -26,22 +26,6 @@ inline double JsBits(double h_m, double h_p, double h_q) {
 
 }  // namespace
 
-double JsDivergence(const std::vector<float>& p, const std::vector<float>& q) {
-  const size_t n = std::max(p.size(), q.size());
-  // JS(p,q) = H(m) - (H(p) + H(q))/2 in nats, converted to bits; zero tail
-  // entries contribute nothing.
-  double h_m = 0.0, h_p = 0.0, h_q = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double pi = i < p.size() ? p[i] : 0.0;
-    const double qi = i < q.size() ? q[i] : 0.0;
-    const double mi = 0.5 * (pi + qi);
-    h_m -= XLogX(mi);
-    h_p -= XLogX(pi);
-    h_q -= XLogX(qi);
-  }
-  return JsBits(h_m, h_p, h_q);
-}
-
 StructuralEntropyCalculator::StructuralEntropyCalculator(
     const graph::Graph& g) {
   const size_t n = static_cast<size_t>(g.num_nodes());

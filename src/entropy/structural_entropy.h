@@ -16,11 +16,6 @@
 namespace graphrare {
 namespace entropy {
 
-/// Jensen-Shannon divergence between two discrete distributions given as
-/// (possibly different-length) arrays; missing tail entries are zeros.
-/// Inputs must be non-negative and sum to 1 (up to rounding). Log base 2.
-double JsDivergence(const std::vector<float>& p, const std::vector<float>& q);
-
 /// Precomputes every node's normalised degree sequence once, then answers
 /// pairwise structural-entropy queries in O(max(len(v), len(u))).
 ///
@@ -31,8 +26,10 @@ double JsDivergence(const std::vector<float>& p, const std::vector<float>& q);
 /// per element of the common prefix, one multiply-subtract with a cached
 /// log per element of the longer sequence's tail. The cache costs
 /// (2E + N) doubles plus N offsets and self-entropies. Between(v, u) is
-/// bitwise 1 - JsDivergence(Sequence(v), Sequence(u)): the cached sums
-/// run in JsDivergence's element order and with its expression shapes.
+/// bitwise 1 - JS(Sequence(v), Sequence(u)) summed directly over the
+/// zero-padded pair (the JsDivergence oracle in tests/entropy_reference.h):
+/// the cached sums run in that sum's element order and with its
+/// expression shapes.
 class StructuralEntropyCalculator {
  public:
   explicit StructuralEntropyCalculator(const graph::Graph& g);
@@ -48,7 +45,7 @@ class StructuralEntropyCalculator {
 
  private:
   std::vector<std::vector<float>> sequences_;
-  // H(p(v)) in nats, summed like JsDivergence sums h_p.
+  // H(p(v)) in nats, summed like the direct JS sum sums H(p).
   std::vector<double> self_entropy_;
   // log(0.5 * p_i(v)) for every entry of every sequence, node by node;
   // node v's entries start at half_log_offset_[v].

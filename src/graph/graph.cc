@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 #include "common/check.h"
 #include "common/string_util.h"
@@ -77,10 +76,6 @@ const int64_t* Graph::NeighborsBegin(int64_t v) const {
 const int64_t* Graph::NeighborsEnd(int64_t v) const {
   GR_DCHECK(v >= 0 && v < num_nodes_);
   return adj_col_.data() + adj_row_ptr_[static_cast<size_t>(v) + 1];
-}
-
-std::vector<int64_t> Graph::Neighbors(int64_t v) const {
-  return std::vector<int64_t>(NeighborsBegin(v), NeighborsEnd(v));
 }
 
 int64_t Graph::Degree(int64_t v) const {
@@ -188,30 +183,6 @@ std::shared_ptr<const CsrMatrix> Graph::RowNormalizedTwoHop() const {
   row_normalized_two_hop_ = std::make_shared<CsrMatrix>(
       CsrMatrix::FromCoo(num_nodes_, num_nodes_, std::move(entries)));
   return row_normalized_two_hop_;
-}
-
-std::vector<int64_t> Graph::KHopNeighbors(int64_t v, int max_hops) const {
-  GR_CHECK(v >= 0 && v < num_nodes_);
-  GR_CHECK_GE(max_hops, 0);
-  std::vector<int> dist(static_cast<size_t>(num_nodes_), -1);
-  std::queue<int64_t> q;
-  dist[static_cast<size_t>(v)] = 0;
-  q.push(v);
-  std::vector<int64_t> out;
-  while (!q.empty()) {
-    const int64_t u = q.front();
-    q.pop();
-    if (dist[static_cast<size_t>(u)] >= max_hops) continue;
-    for (const int64_t* p = NeighborsBegin(u); p != NeighborsEnd(u); ++p) {
-      if (dist[static_cast<size_t>(*p)] < 0) {
-        dist[static_cast<size_t>(*p)] = dist[static_cast<size_t>(u)] + 1;
-        out.push_back(*p);
-        q.push(*p);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 void Graph::DirectedEdgesWithSelfLoops(std::vector<int64_t>* src,

@@ -49,7 +49,6 @@ class Graph {
   /// Neighbors of v, sorted ascending.
   const int64_t* NeighborsBegin(int64_t v) const;
   const int64_t* NeighborsEnd(int64_t v) const;
-  std::vector<int64_t> Neighbors(int64_t v) const;
 
   int64_t Degree(int64_t v) const;
   int64_t MaxDegree() const;
@@ -71,10 +70,6 @@ class Graph {
 
   /// Row-normalised strict 2-hop operator.
   std::shared_ptr<const tensor::CsrMatrix> RowNormalizedTwoHop() const;
-
-  /// Nodes at BFS distance exactly <= max_hops from v, excluding v itself.
-  /// Sorted ascending.
-  std::vector<int64_t> KHopNeighbors(int64_t v, int max_hops) const;
 
   /// Directed edge arrays (src, dst) covering both directions of each edge
   /// plus one self loop per node (GAT attention support).

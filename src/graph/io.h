@@ -22,7 +22,9 @@ namespace graph {
 /// Writes the canonical edge list to `path`.
 Status SaveGraph(const Graph& g, const std::string& path);
 
-/// Reads a graph written by SaveGraph.
+/// Reads a graph written by SaveGraph. No binary calls this: it is kept as
+/// the reader of the format graphrare_cli --save-graph writes, so exported
+/// topologies can come back, which the round-trip tests pin.
 Result<Graph> LoadGraph(const std::string& path);
 
 }  // namespace graph

@@ -12,10 +12,10 @@
 // Determinism contract: request i's answer depends only on (its node ids,
 // its arrival index) — the arrival index is the sampling seed — so for a
 // fixed submission order the responses are bitwise identical to one direct
-// engine.PredictBatch(all requests) call, no matter how arrivals
-// interleave with batch boundaries, how many workers run, or when a
-// hot-swap lands relative to the batches (each batch runs wholly against
-// one engine snapshot).
+// engine.PredictBatchWithSeeds(all requests, {0, 1, ...}) call, no matter
+// how arrivals interleave with batch boundaries, how many workers run, or
+// when a hot-swap lands relative to the batches (each batch runs wholly
+// against one engine snapshot).
 
 #ifndef GRAPHRARE_NET_BATCHER_H_
 #define GRAPHRARE_NET_BATCHER_H_

@@ -92,7 +92,7 @@ Result<Query> ParseTopK(const std::string& body) {
   Query query;
   query.ids = {node};
   query.render = [node, k](const std::vector<serve::Prediction>& preds) {
-    return TopKToJson(node, serve::TopKOf(preds[0], static_cast<int>(k)));
+    return TopKToJson(node, serve::TopKOf(preds[0], k));
   };
   return query;
 }

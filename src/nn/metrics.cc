@@ -19,14 +19,6 @@ double Accuracy(const tensor::Tensor& logits,
   return static_cast<double>(correct) / static_cast<double>(index.size());
 }
 
-std::vector<int64_t> Predictions(const tensor::Tensor& logits,
-                                 const std::vector<int64_t>& index) {
-  std::vector<int64_t> preds;
-  preds.reserve(index.size());
-  for (int64_t i : index) preds.push_back(logits.ArgMaxRow(i));
-  return preds;
-}
-
 double MacroAucOvr(const tensor::Tensor& logits,
                    const std::vector<int64_t>& labels,
                    const std::vector<int64_t>& index, int64_t num_classes) {

@@ -26,10 +26,6 @@ double MacroAucOvr(const tensor::Tensor& logits,
                    const std::vector<int64_t>& labels,
                    const std::vector<int64_t>& index, int64_t num_classes);
 
-/// Per-row predictions (argmax over columns) for the given subset.
-std::vector<int64_t> Predictions(const tensor::Tensor& logits,
-                                 const std::vector<int64_t>& index);
-
 }  // namespace nn
 }  // namespace graphrare
 

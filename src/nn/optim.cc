@@ -6,7 +6,7 @@ namespace graphrare {
 namespace nn {
 
 Adam::Adam(std::vector<tensor::Variable> params, const Options& options)
-    : Optimizer(std::move(params)), options_(options) {
+    : params_(std::move(params)), options_(options) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const auto& p : params_) {
@@ -40,33 +40,6 @@ void Adam::Step() {
       const float m_hat = pm[j] / bc1;
       const float v_hat = pv[j] / bc2;
       pw[j] -= options_.lr * m_hat / (std::sqrt(v_hat) + options_.eps);
-    }
-  }
-}
-
-Sgd::Sgd(std::vector<tensor::Variable> params, const Options& options)
-    : Optimizer(std::move(params)), options_(options) {
-  velocity_.reserve(params_.size());
-  for (const auto& p : params_) {
-    velocity_.emplace_back(p.value().rows(), p.value().cols());
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    auto& p = params_[i];
-    if (!p.has_grad()) continue;
-    const tensor::Tensor& g = p.grad();
-    tensor::Tensor* w = p.mutable_value();
-    tensor::Tensor& vel = velocity_[i];
-    const int64_t n = w->numel();
-    float* pw = w->data();
-    const float* pg = g.data();
-    float* pv = vel.data();
-    for (int64_t j = 0; j < n; ++j) {
-      const float grad = pg[j] + options_.weight_decay * pw[j];
-      pv[j] = options_.momentum * pv[j] + grad;
-      pw[j] -= options_.lr * pv[j];
     }
   }
 }

@@ -1,6 +1,6 @@
 // Copyright 2026 The GraphRARE Authors.
 //
-// First-order optimizers over parameter Variables. State is keyed by the
+// The Adam optimizer over parameter Variables. State is keyed by the
 // underlying autograd node, so the same optimizer instance survives
 // arbitrarily many forward graphs.
 
@@ -14,30 +14,9 @@
 namespace graphrare {
 namespace nn {
 
-/// Optimizer interface.
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<tensor::Variable> params)
-      : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-
-  /// Applies one update using the gradients currently accumulated on the
-  /// parameters. Parameters without a gradient are skipped.
-  virtual void Step() = 0;
-
-  void ZeroGrad() {
-    for (auto& p : params_) p.ZeroGrad();
-  }
-
-  const std::vector<tensor::Variable>& params() const { return params_; }
-
- protected:
-  std::vector<tensor::Variable> params_;
-};
-
 /// Adam (Kingma & Ba) with decoupled-style L2 weight decay added to the
 /// gradient (classic Adam + weight decay, as used by the paper's setup).
-class Adam : public Optimizer {
+class Adam {
  public:
   struct Options {
     float lr = 0.05f;           // paper Sec. V-C initial learning rate
@@ -49,36 +28,16 @@ class Adam : public Optimizer {
 
   Adam(std::vector<tensor::Variable> params, const Options& options);
 
-  void Step() override;
-
-  /// Current step count (bias-correction exponent).
-  int64_t step_count() const { return t_; }
-  void set_lr(float lr) { options_.lr = lr; }
-  float lr() const { return options_.lr; }
+  /// Applies one update using the gradients currently accumulated on the
+  /// parameters. Parameters without a gradient are skipped.
+  void Step();
 
  private:
+  std::vector<tensor::Variable> params_;
   Options options_;
   int64_t t_ = 0;
   std::vector<tensor::Tensor> m_;
   std::vector<tensor::Tensor> v_;
-};
-
-/// Plain SGD with optional momentum (ablation/testing).
-class Sgd : public Optimizer {
- public:
-  struct Options {
-    float lr = 0.01f;
-    float momentum = 0.0f;
-    float weight_decay = 0.0f;
-  };
-
-  Sgd(std::vector<tensor::Variable> params, const Options& options);
-
-  void Step() override;
-
- private:
-  Options options_;
-  std::vector<tensor::Tensor> velocity_;
 };
 
 }  // namespace nn

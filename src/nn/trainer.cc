@@ -171,10 +171,6 @@ tensor::Tensor MiniBatchTrainer::EvalLogitsBlock(const graph::Subgraph& block) {
   return model()->Logits(inputs, /*training=*/false, nullptr).value();
 }
 
-tensor::Tensor MiniBatchTrainer::EvalLogits(const graph::Graph& g) {
-  return full_.EvalLogits(g);
-}
-
 std::vector<tensor::Tensor> ClassifierTrainer::SaveWeights() const {
   std::vector<tensor::Tensor> weights;
   for (const auto& p : model_->Parameters()) weights.push_back(p.value());

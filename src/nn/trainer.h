@@ -108,9 +108,6 @@ class MiniBatchTrainer {
   /// Full-graph evaluation (no dropout, no gradients) on `idx`.
   EvalResult Evaluate(const graph::Graph& g, const std::vector<int64_t>& idx);
 
-  /// Full logits in eval mode on the full graph.
-  tensor::Tensor EvalLogits(const graph::Graph& g);
-
   /// Block-scoped evaluation (no dropout, no gradients): forward on
   /// block.graph with the block's feature rows, loss/accuracy over the
   /// block's seed nodes. On an identity block (graph::FullSubgraph) this

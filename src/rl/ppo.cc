@@ -134,17 +134,6 @@ bool PpoAgent::ReadyToUpdate() const {
          static_cast<int>(buffer_.size()) >= options_.steps_per_update;
 }
 
-double PpoAgent::MeanBufferedReward() const {
-  if (buffer_.empty()) return 0.0;
-  double s = 0.0;
-  int count = 0;
-  for (const auto& t : buffer_) {
-    s += t.reward;
-    ++count;
-  }
-  return s / count;
-}
-
 void PpoAgent::ComputeAdvantages(double last_value,
                                  std::vector<double>* advantages,
                                  std::vector<double>* returns) const {

@@ -81,9 +81,6 @@ class PpoAgent {
   /// transition. Returns the mean actor loss of the final epoch.
   double Update(const tensor::Tensor& last_value_obs);
 
-  /// Mean reward currently in the buffer (telemetry for Fig. 6c).
-  double MeanBufferedReward() const;
-
   const ActorCriticPolicy& policy() const { return *policy_; }
   int64_t num_updates() const { return num_updates_; }
 

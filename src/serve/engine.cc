@@ -144,13 +144,6 @@ Result<std::vector<Prediction>> InferenceEngine::Predict(
   return PredictWithSeed(node_ids, 0);
 }
 
-Result<std::vector<std::vector<Prediction>>> InferenceEngine::PredictBatch(
-    const std::vector<std::vector<int64_t>>& requests) const {
-  std::vector<uint64_t> seeds(requests.size());
-  for (size_t r = 0; r < seeds.size(); ++r) seeds[r] = static_cast<uint64_t>(r);
-  return PredictBatchWithSeeds(requests, seeds);
-}
-
 Result<std::vector<std::vector<Prediction>>>
 InferenceEngine::PredictBatchWithSeeds(
     const std::vector<std::vector<int64_t>>& requests,
@@ -183,7 +176,7 @@ InferenceEngine::PredictBatchWithSeeds(
 }
 
 std::vector<std::pair<int64_t, float>> TopKOf(const Prediction& prediction,
-                                              int k) {
+                                              int64_t k) {
   const std::vector<float>& probs = prediction.probabilities;
   std::vector<std::pair<int64_t, float>> ranked;
   ranked.reserve(probs.size());

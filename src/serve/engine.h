@@ -16,9 +16,9 @@
 //  * neighbor-sampled (non-empty fanouts): each query samples a
 //    fanout-bounded block around its nodes (data::NeighborSampler) and
 //    runs the forward on the block only, so per-query cost scales with
-//    the block, not the graph. Sampling is seeded per request index, so
-//    PredictBatch returns identical results no matter how many OpenMP
-//    threads execute it (or whether OpenMP is compiled in at all).
+//    the block, not the graph. Sampling is seeded per request, so
+//    PredictBatchWithSeeds returns identical results no matter how many
+//    OpenMP threads execute it (or whether OpenMP is compiled in at all).
 
 #ifndef GRAPHRARE_SERVE_ENGINE_H_
 #define GRAPHRARE_SERVE_ENGINE_H_
@@ -60,7 +60,7 @@ struct Prediction {
 /// class count. Rank the Prediction you already hold: in sampled mode a
 /// second Predict call re-samples and could disagree with it.
 std::vector<std::pair<int64_t, float>> TopKOf(const Prediction& prediction,
-                                              int k);
+                                              int64_t k);
 
 /// Loads an artifact once and serves batched node-classification queries.
 /// All query methods are const and safe to call from concurrent threads.
@@ -83,20 +83,15 @@ class InferenceEngine {
   Result<std::vector<Prediction>> Predict(
       const std::vector<int64_t>& node_ids) const;
 
-  /// Answers many queries; request r is evaluated exactly as
-  /// Predict-with-request-seed-r, with the requests distributed over
-  /// OpenMP threads. Results are positionally aligned with `requests` and
-  /// independent of thread count.
-  Result<std::vector<std::vector<Prediction>>> PredictBatch(
-      const std::vector<std::vector<int64_t>>& requests) const;
-
-  /// PredictBatch with caller-supplied per-request sampling seeds (one per
-  /// request). Request i is evaluated exactly as it would be at position
-  /// seeds[i] of a plain PredictBatch call, so a scheduler that stamps each
-  /// request with its arrival index gets answers that do not depend on how
-  /// requests were grouped into engine calls — the continuous-batching
-  /// tier's determinism contract. Seeds only matter in sampled mode;
-  /// full-graph answers ignore them.
+  /// Answers many queries, one caller-supplied sampling seed per request,
+  /// with the requests distributed over OpenMP threads. Request i depends
+  /// only on its node ids and seeds[i] (Predict uses seed 0), so results
+  /// are positionally aligned with `requests`, independent of thread
+  /// count, and a scheduler that stamps each request with its arrival
+  /// index gets answers that do not depend on how requests were grouped
+  /// into engine calls — the continuous-batching tier's determinism
+  /// contract. Seeds only matter in sampled mode; full-graph answers
+  /// ignore them.
   Result<std::vector<std::vector<Prediction>>> PredictBatchWithSeeds(
       const std::vector<std::vector<int64_t>>& requests,
       const std::vector<uint64_t>& seeds) const;
@@ -108,7 +103,9 @@ class InferenceEngine {
   const EngineOptions& options() const { return options_; }
 
   /// The precomputed logit matrix (full-graph mode only; one row per
-  /// node). This is the bitwise-equality hook for artifact tests.
+  /// node). No binary calls this: it is the bitwise-equality hook of the
+  /// artifact round-trip tests, kept because Predictions carry softmax
+  /// probabilities, which cannot pin the logit bits.
   const tensor::Tensor& FullLogits() const;
 
  private:

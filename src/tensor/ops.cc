@@ -159,15 +159,6 @@ Variable Scale(const Variable& a, float c) {
   });
 }
 
-Variable AddScalar(const Variable& a, float c) {
-  Tensor out = a.value();
-  float* p = out.data();
-  for (int64_t i = 0; i < out.numel(); ++i) p[i] += c;
-  return MakeOpNode(std::move(out), {a}, [](AutogradNode* n) {
-    Accumulate(n->parents[0], n->grad);
-  });
-}
-
 Variable Neg(const Variable& a) { return Scale(a, -1.0f); }
 
 Variable Square(const Variable& a) { return Mul(a, a); }
@@ -231,15 +222,6 @@ Variable Relu(const Variable& a) {
       [](float x, float) { return x > 0.0f ? 1.0f : 0.0f; });
 }
 
-Variable LeakyRelu(const Variable& a, float negative_slope) {
-  return UnaryElementwise(
-      a,
-      [negative_slope](float x) { return x > 0.0f ? x : negative_slope * x; },
-      [negative_slope](float x, float) {
-        return x > 0.0f ? 1.0f : negative_slope;
-      });
-}
-
 Variable Elu(const Variable& a, float alpha) {
   return UnaryElementwise(
       a,
@@ -263,16 +245,6 @@ Variable Exp(const Variable& a) {
   return UnaryElementwise(
       a, [](float x) { return std::exp(x); },
       [](float, float y) { return y; });
-}
-
-Variable Log(const Variable& a) {
-  return UnaryElementwise(
-      a,
-      [](float x) {
-        GR_DCHECK(x > 0.0f);
-        return std::log(x);
-      },
-      [](float x, float) { return 1.0f / x; });
 }
 
 Variable Dropout(const Variable& a, float p, bool training, Rng* rng) {
@@ -365,32 +337,6 @@ Variable SoftmaxRows(const Variable& a) {
         }
         Accumulate(n->parents[0], d);
       });
-}
-
-Variable NllLoss(const Variable& logp, const std::vector<int64_t>& labels) {
-  const Tensor& lp = logp.value();
-  GR_CHECK_EQ(lp.rows(), static_cast<int64_t>(labels.size()));
-  GR_CHECK_GT(lp.rows(), 0);
-  double loss = 0.0;
-  for (int64_t i = 0; i < lp.rows(); ++i) {
-    GR_CHECK(labels[static_cast<size_t>(i)] >= 0 &&
-             labels[static_cast<size_t>(i)] < lp.cols())
-        << "label out of range";
-    loss -= lp.at(i, labels[static_cast<size_t>(i)]);
-  }
-  loss /= static_cast<double>(lp.rows());
-  return MakeOpNode(Tensor::Scalar(static_cast<float>(loss)), {logp},
-                    [labels](AutogradNode* n) {
-                      if (!n->parents[0]->requires_grad) return;
-                      const float g = n->grad.scalar();
-                      const int64_t m = n->parents[0]->value.rows();
-                      n->parents[0]->EnsureGrad();
-                      Tensor& pg = n->parents[0]->grad;
-                      const float scale = g / static_cast<float>(m);
-                      for (int64_t i = 0; i < m; ++i) {
-                        pg.at(i, labels[static_cast<size_t>(i)]) -= scale;
-                      }
-                    });
 }
 
 Variable LogSoftmaxNll(const Variable& logits, std::vector<int64_t> index,
@@ -538,49 +484,6 @@ Variable ConcatCols(const std::vector<Variable>& parts) {
                     });
 }
 
-Variable GatherRows(const Variable& x, std::vector<int64_t> idx) {
-  const Tensor& v = x.value();
-  Tensor out(static_cast<int64_t>(idx.size()), v.cols());
-  for (size_t i = 0; i < idx.size(); ++i) {
-    GR_CHECK(idx[i] >= 0 && idx[i] < v.rows()) << "gather index out of range";
-    std::copy(v.row(idx[i]), v.row(idx[i]) + v.cols(),
-              out.row(static_cast<int64_t>(i)));
-  }
-  return MakeOpNode(std::move(out), {x}, [idx = std::move(idx)](AutogradNode* n) {
-    if (!n->parents[0]->requires_grad) return;
-    n->parents[0]->EnsureGrad();
-    Tensor& pg = n->parents[0]->grad;
-    for (size_t i = 0; i < idx.size(); ++i) {
-      const float* src = n->grad.row(static_cast<int64_t>(i));
-      float* dst = pg.row(idx[i]);
-      for (int64_t c = 0; c < pg.cols(); ++c) dst[c] += src[c];
-    }
-  });
-}
-
-Variable ScatterAddRows(const Variable& x, std::vector<int64_t> idx,
-                        int64_t num_rows) {
-  const Tensor& v = x.value();
-  GR_CHECK_EQ(v.rows(), static_cast<int64_t>(idx.size()));
-  Tensor out(num_rows, v.cols());
-  for (size_t i = 0; i < idx.size(); ++i) {
-    GR_CHECK(idx[i] >= 0 && idx[i] < num_rows) << "scatter index out of range";
-    const float* src = v.row(static_cast<int64_t>(i));
-    float* dst = out.row(idx[i]);
-    for (int64_t c = 0; c < v.cols(); ++c) dst[c] += src[c];
-  }
-  return MakeOpNode(std::move(out), {x}, [idx = std::move(idx)](AutogradNode* n) {
-    if (!n->parents[0]->requires_grad) return;
-    n->parents[0]->EnsureGrad();
-    Tensor& pg = n->parents[0]->grad;
-    for (size_t i = 0; i < idx.size(); ++i) {
-      const float* src = n->grad.row(idx[i]);
-      float* dst = pg.row(static_cast<int64_t>(i));
-      for (int64_t c = 0; c < pg.cols(); ++c) dst[c] += src[c];
-    }
-  });
-}
-
 Variable GatherCols(const Variable& x, std::vector<int64_t> idx) {
   const Tensor& v = x.value();
   GR_CHECK_EQ(v.rows(), static_cast<int64_t>(idx.size()));
@@ -596,43 +499,6 @@ Variable GatherCols(const Variable& x, std::vector<int64_t> idx) {
     Tensor& pg = n->parents[0]->grad;
     for (int64_t i = 0; i < pg.rows(); ++i) {
       pg.at(i, idx[static_cast<size_t>(i)]) += n->grad.at(i, 0);
-    }
-  });
-}
-
-Variable RowScale(const Variable& x, const Variable& s) {
-  const Tensor& v = x.value();
-  GR_CHECK_EQ(s.value().rows(), v.rows());
-  GR_CHECK_EQ(s.value().cols(), 1);
-  Tensor out = v;
-  for (int64_t r = 0; r < v.rows(); ++r) {
-    const float sv = s.value().at(r, 0);
-    float* p = out.row(r);
-    for (int64_t c = 0; c < v.cols(); ++c) p[c] *= sv;
-  }
-  return MakeOpNode(std::move(out), {x, s}, [](AutogradNode* n) {
-    const Tensor& xv = n->parents[0]->value;
-    const Tensor& sv = n->parents[1]->value;
-    if (n->parents[0]->requires_grad) {
-      n->parents[0]->EnsureGrad();
-      Tensor& pg = n->parents[0]->grad;
-      for (int64_t r = 0; r < pg.rows(); ++r) {
-        const float svr = sv.at(r, 0);
-        const float* g = n->grad.row(r);
-        float* p = pg.row(r);
-        for (int64_t c = 0; c < pg.cols(); ++c) p[c] += g[c] * svr;
-      }
-    }
-    if (n->parents[1]->requires_grad) {
-      n->parents[1]->EnsureGrad();
-      Tensor& pg = n->parents[1]->grad;
-      for (int64_t r = 0; r < xv.rows(); ++r) {
-        const float* g = n->grad.row(r);
-        const float* xr = xv.row(r);
-        float dot = 0.0f;
-        for (int64_t c = 0; c < xv.cols(); ++c) dot += g[c] * xr[c];
-        pg.at(r, 0) += dot;
-      }
     }
   });
 }
@@ -655,57 +521,6 @@ Variable ScaleByScalar(const Variable& x, const Variable& s) {
       n->parents[1]->grad[0] += static_cast<float>(dot);
     }
   });
-}
-
-Variable SegmentSoftmax(const Variable& scores, std::vector<int64_t> seg,
-                        int64_t num_segments) {
-  const Tensor& sc = scores.value();
-  GR_CHECK_EQ(sc.cols(), 1);
-  GR_CHECK_EQ(sc.rows(), static_cast<int64_t>(seg.size()));
-  const int64_t e = sc.rows();
-
-  std::vector<float> seg_max(static_cast<size_t>(num_segments),
-                             -std::numeric_limits<float>::infinity());
-  for (int64_t i = 0; i < e; ++i) {
-    const int64_t s = seg[static_cast<size_t>(i)];
-    GR_CHECK(s >= 0 && s < num_segments) << "segment index out of range";
-    seg_max[static_cast<size_t>(s)] =
-        std::max(seg_max[static_cast<size_t>(s)], sc.at(i, 0));
-  }
-  std::vector<double> seg_sum(static_cast<size_t>(num_segments), 0.0);
-  Tensor out(e, 1);
-  for (int64_t i = 0; i < e; ++i) {
-    const int64_t s = seg[static_cast<size_t>(i)];
-    out.at(i, 0) = std::exp(sc.at(i, 0) - seg_max[static_cast<size_t>(s)]);
-    seg_sum[static_cast<size_t>(s)] += out.at(i, 0);
-  }
-  for (int64_t i = 0; i < e; ++i) {
-    const int64_t s = seg[static_cast<size_t>(i)];
-    out.at(i, 0) = static_cast<float>(out.at(i, 0) /
-                                      seg_sum[static_cast<size_t>(s)]);
-  }
-  Tensor saved = out;
-  return MakeOpNode(
-      std::move(out), {scores},
-      [seg = std::move(seg), num_segments,
-       saved = std::move(saved)](AutogradNode* n) {
-        if (!n->parents[0]->requires_grad) return;
-        // d score_i = alpha_i * (G_i - sum_{j in seg(i)} alpha_j G_j)
-        std::vector<double> seg_dot(static_cast<size_t>(num_segments), 0.0);
-        const int64_t e = saved.rows();
-        for (int64_t i = 0; i < e; ++i) {
-          seg_dot[static_cast<size_t>(seg[static_cast<size_t>(i)])] +=
-              static_cast<double>(saved.at(i, 0)) * n->grad.at(i, 0);
-        }
-        n->parents[0]->EnsureGrad();
-        Tensor& pg = n->parents[0]->grad;
-        for (int64_t i = 0; i < e; ++i) {
-          const double dot =
-              seg_dot[static_cast<size_t>(seg[static_cast<size_t>(i)])];
-          pg.at(i, 0) += static_cast<float>(
-              saved.at(i, 0) * (n->grad.at(i, 0) - dot));
-        }
-      });
 }
 
 Variable GatSegmentAttention(const Variable& h, const Variable& sl,

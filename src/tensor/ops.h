@@ -3,7 +3,9 @@
 // Differentiable operations over Variable. Every op returns a fresh tape
 // node whose backward accumulates into the parents' gradients. Shapes follow
 // the library convention: everything is 2-D, vectors are (n,1) columns,
-// scalars are (1,1).
+// scalars are (1,1). The unfused chains that the fused kernels below are
+// bitwise equal to (GatherRows, NllLoss, SegmentSoftmax, ...) are test
+// oracles and live in tests/test_support.h.
 
 #ifndef GRAPHRARE_TENSOR_OPS_H_
 #define GRAPHRARE_TENSOR_OPS_H_
@@ -37,8 +39,6 @@ Variable AddBias(const Variable& a, const Variable& bias);
 Variable AddBiasRelu(const Variable& a, const Variable& bias);
 /// c * a for a compile-time constant c.
 Variable Scale(const Variable& a, float c);
-/// a + c elementwise.
-Variable AddScalar(const Variable& a, float c);
 /// -a.
 Variable Neg(const Variable& a);
 /// a^2 elementwise.
@@ -55,13 +55,10 @@ Variable SpMM(std::shared_ptr<const CsrMatrix> s, const Variable& x);
 // -- Nonlinearities -------------------------------------------------------
 
 Variable Relu(const Variable& a);
-Variable LeakyRelu(const Variable& a, float negative_slope = 0.2f);
 Variable Elu(const Variable& a, float alpha = 1.0f);
 Variable Tanh(const Variable& a);
 Variable Sigmoid(const Variable& a);
 Variable Exp(const Variable& a);
-/// Natural log; inputs must be positive.
-Variable Log(const Variable& a);
 
 /// Inverted dropout. Identity when !training or p == 0.
 Variable Dropout(const Variable& a, float p, bool training, Rng* rng);
@@ -72,10 +69,6 @@ Variable Dropout(const Variable& a, float p, bool training, Rng* rng);
 Variable LogSoftmaxRows(const Variable& a);
 /// Row-wise softmax.
 Variable SoftmaxRows(const Variable& a);
-
-/// Negative log-likelihood over *all* rows of logp (m, c) with integer
-/// labels (size m): -(1/m) sum_i logp[i, labels[i]]. Returns a scalar.
-Variable NllLoss(const Variable& logp, const std::vector<int64_t>& labels);
 
 /// Fused log-softmax + NLL over the rows of `logits` selected by `index`
 /// (labels[i] is the class of row index[i]); mean reduction over the
@@ -103,24 +96,12 @@ Variable RowSumCols(const Variable& a);
 
 /// Horizontal concatenation [a1 | a2 | ...]; all inputs share row count.
 Variable ConcatCols(const std::vector<Variable>& parts);
-/// Y[i,:] = X[idx[i],:]. Backward scatter-adds.
-Variable GatherRows(const Variable& x, std::vector<int64_t> idx);
-/// Y (n,f) with Y[idx[i],:] += X[i,:] (X is (e,f)).
-Variable ScatterAddRows(const Variable& x, std::vector<int64_t> idx,
-                        int64_t num_rows);
 /// y[i] = X[i, idx[i]] -> (m,1). One element per row.
 Variable GatherCols(const Variable& x, std::vector<int64_t> idx);
-/// Y[i,:] = X[i,:] * s[i] with s shape (m,1).
-Variable RowScale(const Variable& x, const Variable& s);
 /// Y = s * X where s is a trainable (1,1) scalar Variable.
 Variable ScaleByScalar(const Variable& x, const Variable& s);
 
 // -- Segment operations (edge-level GNN math) -----------------------------
-
-/// Softmax of scores (e,1) within segments given by seg[i] in [0, n).
-/// Segments need not be contiguous. Used for GAT attention normalisation.
-Variable SegmentSoftmax(const Variable& scores, std::vector<int64_t> seg,
-                        int64_t num_segments);
 
 /// Fused GAT attention edge kernel. Computes, for per-node features h
 /// (n, f) and per-node attention scores sl / sr (n, 1):

@@ -181,21 +181,6 @@ CsrMatrix CsrMatrix::FromCoo(int64_t rows, int64_t cols,
   return m;
 }
 
-CsrMatrix CsrMatrix::Identity(int64_t n) {
-  GR_CHECK_GE(n, 0);
-  // Direct CSR assembly: the diagonal is already sorted and duplicate-free,
-  // so the COO round trip (and its O(n log n) sort) is pure overhead.
-  CsrMatrix m;
-  m.rows_ = n;
-  m.cols_ = n;
-  m.row_ptr_.resize(static_cast<size_t>(n) + 1);
-  for (int64_t i = 0; i <= n; ++i) m.row_ptr_[static_cast<size_t>(i)] = i;
-  m.col_idx_.resize(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) m.col_idx_[static_cast<size_t>(i)] = i;
-  m.values_.assign(static_cast<size_t>(n), 1.0f);
-  return m;
-}
-
 Tensor CsrMatrix::SpMM(const Tensor& x) const {
   GR_CHECK_EQ(cols_, x.rows());
   const int64_t f = x.cols();
@@ -340,12 +325,6 @@ CsrMatrix CsrMatrix::SelectRows(const std::vector<int64_t>& rows) const {
   return m;
 }
 
-CsrMatrix CsrMatrix::WithUniformValues(float v) const {
-  CsrMatrix m = *this;  // copy ctor starts with a fresh transpose cache
-  std::fill(m.values_.begin(), m.values_.end(), v);
-  return m;
-}
-
 CsrMatrix CsrMatrix::Permuted(const std::vector<int64_t>& perm,
                               bool permute_rows, bool permute_cols) const {
   GR_CHECK(permute_rows || permute_cols);
@@ -396,28 +375,6 @@ CsrMatrix CsrMatrix::Permuted(const std::vector<int64_t>& perm,
     m.row_ptr_.push_back(static_cast<int64_t>(m.col_idx_.size()));
   }
   return m;
-}
-
-float CsrMatrix::At(int64_t r, int64_t c) const {
-  GR_CHECK(r >= 0 && r < rows_);
-  GR_CHECK(c >= 0 && c < cols_);
-  const auto begin = col_idx_.begin() + row_ptr_[static_cast<size_t>(r)];
-  const auto end = col_idx_.begin() + row_ptr_[static_cast<size_t>(r) + 1];
-  const auto it = std::lower_bound(begin, end, c);
-  if (it == end || *it != c) return 0.0f;
-  return values_[static_cast<size_t>(it - col_idx_.begin())];
-}
-
-Tensor CsrMatrix::ToDense() const {
-  Tensor d(rows_, cols_);
-  for (int64_t r = 0; r < rows_; ++r) {
-    for (int64_t p = row_ptr_[static_cast<size_t>(r)];
-         p < row_ptr_[static_cast<size_t>(r) + 1]; ++p) {
-      d.at(r, col_idx_[static_cast<size_t>(p)]) =
-          values_[static_cast<size_t>(p)];
-    }
-  }
-  return d;
 }
 
 }  // namespace tensor

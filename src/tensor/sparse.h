@@ -76,9 +76,6 @@ class CsrMatrix {
   static CsrMatrix FromCoo(int64_t rows, int64_t cols,
                            std::vector<CooEntry> entries);
 
-  /// Identity matrix of size n.
-  static CsrMatrix Identity(int64_t n);
-
   int64_t rows() const { return rows_; }
   int64_t cols() const { return cols_; }
   int64_t nnz() const { return static_cast<int64_t>(col_idx_.size()); }
@@ -103,9 +100,6 @@ class CsrMatrix {
   /// H2GCN. Result values are the path counts / weight sums.
   CsrMatrix Multiply(const CsrMatrix& other) const;
 
-  /// Returns a copy with all values replaced by `v`.
-  CsrMatrix WithUniformValues(float v) const;
-
   /// Row-sliced copy: result row i is this matrix's row rows[i] (entries and
   /// in-row ordering preserved exactly). Rows may repeat and appear in any
   /// order. Used to build per-batch feature matrices for sampled subgraphs.
@@ -118,12 +112,6 @@ class CsrMatrix {
   /// bit-exactly; only their positions move. Used by graph::ReorderCsr.
   CsrMatrix Permuted(const std::vector<int64_t>& perm, bool permute_rows,
                      bool permute_cols) const;
-
-  /// Element lookup (binary search within the row). Zero when absent.
-  float At(int64_t r, int64_t c) const;
-
-  /// Dense copy (tests and small visualisations only).
-  Tensor ToDense() const;
 
  private:
   int64_t rows_;

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <mutex>
-#include <sstream>
 
 #if defined(__linux__)
 #include <sys/mman.h>
@@ -96,13 +94,10 @@ class PoolImpl {
     return *pool;
   }
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-
   /// Returns a size-n buffer with unspecified contents. `zeroed` requests a
   /// zero fill (skipped when the buffer is freshly value-initialised).
   std::vector<float> Acquire(size_t n, bool zeroed) {
-    if (n >= kMinPooledFloats && enabled()) {
+    if (n >= kMinPooledFloats) {
       std::unique_lock<std::mutex> lock(mu_);
       auto& bucket = buckets_[static_cast<size_t>(CeilLog2(n))];
       if (!bucket.empty()) {
@@ -129,10 +124,6 @@ class PoolImpl {
     const size_t cap = buf.capacity();
     if (cap < kMinPooledFloats) return;  // too small to track
     std::lock_guard<std::mutex> lock(mu_);
-    if (!enabled()) {
-      ++stats_.drops;
-      return;
-    }
     auto& bucket = buckets_[static_cast<size_t>(FloorLog2(cap))];
     const uint64_t bytes = cap * sizeof(float);
     if (bucket.size() >= kMaxBucketBuffers ||
@@ -150,14 +141,7 @@ class PoolImpl {
     return stats_;
   }
 
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& bucket : buckets_) bucket.clear();
-    stats_.cached_bytes = 0;
-  }
-
  private:
-  std::atomic<bool> enabled_{true};
   std::mutex mu_;
   TensorPool::Stats stats_;
   // buckets_[b] holds buffers whose capacity is in [2^b, 2^(b+1)); any of
@@ -212,16 +196,7 @@ bool TensorPool::Enabled() {
 #ifdef GRAPHRARE_TENSOR_POOL_COMPILED_OUT
   return false;
 #else
-  return PoolImpl::Get().enabled();
-#endif
-}
-
-void TensorPool::SetEnabled(bool enabled) {
-#ifdef GRAPHRARE_TENSOR_POOL_COMPILED_OUT
-  (void)enabled;
-#else
-  PoolImpl::Get().set_enabled(enabled);
-  if (!enabled) PoolImpl::Get().Clear();
+  return true;
 #endif
 }
 
@@ -230,12 +205,6 @@ TensorPool::Stats TensorPool::GetStats() {
   return Stats{};
 #else
   return PoolImpl::Get().GetStats();
-#endif
-}
-
-void TensorPool::Clear() {
-#ifndef GRAPHRARE_TENSOR_POOL_COMPILED_OUT
-  PoolImpl::Get().Clear();
 #endif
 }
 
@@ -313,32 +282,6 @@ void Tensor::MulInPlace(const Tensor& other) {
   });
 }
 
-Tensor Tensor::Transposed() const {
-  Tensor t(cols_, rows_);
-  for (int64_t r = 0; r < rows_; ++r) {
-    for (int64_t c = 0; c < cols_; ++c) {
-      t.at(c, r) = at(r, c);
-    }
-  }
-  return t;
-}
-
-bool Tensor::AllClose(const Tensor& other, float atol, float rtol) const {
-  if (!SameShape(other)) return false;
-  for (int64_t i = 0; i < numel(); ++i) {
-    const float a = (*this)[i];
-    const float b = other[i];
-    if (std::abs(a - b) > atol + rtol * std::abs(b)) return false;
-  }
-  return true;
-}
-
-float Tensor::MaxAbs() const {
-  float m = 0.0f;
-  for (int64_t i = 0; i < numel(); ++i) m = std::max(m, std::abs((*this)[i]));
-  return m;
-}
-
 double Tensor::SumDouble() const {
   // Neumaier's variant of Kahan summation on a double accumulator: the
   // compensation term survives even when a large addend cancels the running
@@ -366,13 +309,6 @@ float Tensor::Mean() const {
   return static_cast<float>(SumDouble() / static_cast<double>(numel()));
 }
 
-bool Tensor::HasNonFinite() const {
-  for (int64_t i = 0; i < numel(); ++i) {
-    if (!std::isfinite((*this)[i])) return true;
-  }
-  return false;
-}
-
 int64_t Tensor::ArgMaxRow(int64_t r) const {
   GR_CHECK(r >= 0 && r < rows_);
   GR_CHECK_GT(cols_, 0);
@@ -382,19 +318,6 @@ int64_t Tensor::ArgMaxRow(int64_t r) const {
     if (p[c] > p[best]) best = c;
   }
   return best;
-}
-
-std::string Tensor::DebugString(int64_t max_elems) const {
-  std::ostringstream os;
-  os << "Tensor(" << rows_ << "x" << cols_ << ") [";
-  const int64_t n = std::min(numel(), max_elems);
-  for (int64_t i = 0; i < n; ++i) {
-    if (i) os << ", ";
-    os << (*this)[i];
-  }
-  if (numel() > max_elems) os << ", ...";
-  os << "]";
-  return os.str();
 }
 
 // ===================================================================

@@ -8,7 +8,6 @@
 #define GRAPHRARE_TENSOR_TENSOR_H_
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -42,17 +41,13 @@ class TensorPool {
     uint64_t hits = 0;      // acquires served from the free list
     uint64_t misses = 0;    // acquires that had to allocate
     uint64_t returns = 0;   // buffers accepted back into the pool
-    uint64_t drops = 0;     // buffers freed instead (caps / disabled)
+    uint64_t drops = 0;     // buffers freed instead (caps)
     uint64_t cached_bytes = 0;  // bytes currently parked in the pool
   };
 
-  /// False when pooling is compiled out (sanitizer builds) or switched off.
+  /// False when pooling is compiled out (sanitizer builds).
   static bool Enabled();
-  /// Runtime kill switch (tests, leak triage). No-op in sanitizer builds.
-  static void SetEnabled(bool enabled);
   static Stats GetStats();
-  /// Frees every cached buffer (stats other than cached_bytes persist).
-  static void Clear();
 };
 
 /// Dense (rows x cols) float32 matrix with value semantics. Buffers are
@@ -220,23 +215,14 @@ class Tensor {
 
   // -- Value-level helpers ------------------------------------------------
 
-  Tensor Transposed() const;
-  /// Deep equality within tolerance.
-  bool AllClose(const Tensor& other, float atol = 1e-5f,
-                float rtol = 1e-4f) const;
-  float MaxAbs() const;
   /// Compensated sum of all elements (Neumaier's variant of Kahan
   /// summation on a double accumulator), so large-matrix sums lose no
   /// low-order bits to the accumulation itself — including under heavy
   /// cancellation. Mean() divides the same compensated double sum.
   float Sum() const;
   float Mean() const;
-  /// Returns true if any element is NaN or Inf.
-  bool HasNonFinite() const;
   /// Index of the max element in row r (argmax over columns).
   int64_t ArgMaxRow(int64_t r) const;
-
-  std::string DebugString(int64_t max_elems = 32) const;
 
  private:
   /// Kahan-compensated double sum (shared by Sum / Mean).

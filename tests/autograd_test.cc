@@ -1,17 +1,19 @@
 // Autograd correctness: every op is validated against central finite
-// differences via CheckGradient, plus tape-mechanics tests (accumulation,
-// detach, pruning).
+// differences via CheckGradient (tests/test_support.h), plus tape-mechanics
+// tests (accumulation, detach, pruning).
 
 #include <gtest/gtest.h>
 
-#include "tensor/grad_check.h"
 #include "tensor/ops.h"
+#include "test_support.h"
 
 namespace graphrare {
 namespace tensor {
 namespace {
 
 namespace ops = tensor::ops;
+namespace ref = testing_ref;
+using ref::AllClose;
 
 Variable Leaf(Tensor t) { return Variable(std::move(t), true); }
 
@@ -20,7 +22,7 @@ void ExpectGradientsOk(
     const std::function<Variable(const std::vector<Variable>&)>& f,
     std::vector<Variable> inputs) {
   for (size_t i = 0; i < inputs.size(); ++i) {
-    GradCheckResult r = CheckGradient(f, &inputs, i);
+    ref::GradCheckResult r = ref::CheckGradient(f, &inputs, i);
     EXPECT_TRUE(r.ok) << "input " << i << ": max_abs_err=" << r.max_abs_err
                       << " at flat index " << r.worst_index;
   }
@@ -37,8 +39,8 @@ TEST(AutogradTest, AddGradientsBothParents) {
   Variable b = Leaf(Tensor::Full(2, 2, 2.0f));
   Variable loss = ops::SumAll(ops::Add(a, b));
   loss.Backward();
-  EXPECT_TRUE(a.grad().AllClose(Tensor::Ones(2, 2)));
-  EXPECT_TRUE(b.grad().AllClose(Tensor::Ones(2, 2)));
+  EXPECT_TRUE(AllClose(a.grad(), Tensor::Ones(2, 2)));
+  EXPECT_TRUE(AllClose(b.grad(), Tensor::Ones(2, 2)));
 }
 
 TEST(AutogradTest, GradAccumulatesAcrossUses) {
@@ -116,7 +118,7 @@ TEST(GradCheckTest, ScaleAddScalarNeg) {
   ExpectGradientsOk(
       [](const std::vector<Variable>& in) {
         return ops::SumAll(
-            ops::Neg(ops::AddScalar(ops::Scale(in[0], 2.5f), -1.0f)));
+            ops::Neg(ref::AddScalar(ops::Scale(in[0], 2.5f), -1.0f)));
       },
       {Leaf(Tensor::Randn(2, 5, &rng))});
 }
@@ -149,7 +151,7 @@ TEST(GradCheckTest, ReluAndLeakyReluAwayFromKink) {
   ExpectGradientsOk(
       [](const std::vector<Variable>& in) {
         return ops::SumAll(
-            ops::Add(ops::Relu(in[0]), ops::LeakyRelu(in[0], 0.2f)));
+            ops::Add(ops::Relu(in[0]), ref::LeakyRelu(in[0], 0.2f)));
       },
       {Leaf(t)});
 }
@@ -159,7 +161,7 @@ TEST(GradCheckTest, ExpLog) {
   Tensor t = Tensor::Rand(3, 3, &rng, 0.5f, 2.0f);
   ExpectGradientsOk(
       [](const std::vector<Variable>& in) {
-        return ops::SumAll(ops::Log(ops::Exp(ops::Log(in[0]))));
+        return ops::SumAll(ref::Log(ops::Exp(ref::Log(in[0]))));
       },
       {Leaf(t)});
 }
@@ -187,7 +189,7 @@ TEST(GradCheckTest, NllLoss) {
   std::vector<int64_t> labels = {0, 2, 1, 2};
   ExpectGradientsOk(
       [labels](const std::vector<Variable>& in) {
-        return ops::NllLoss(ops::LogSoftmaxRows(in[0]), labels);
+        return ref::NllLoss(ops::LogSoftmaxRows(in[0]), labels);
       },
       {Leaf(Tensor::Randn(4, 3, &rng))});
 }
@@ -228,7 +230,7 @@ TEST(GradCheckTest, GatherRows) {
   std::vector<int64_t> idx = {2, 0, 2, 1};  // repeated index exercises accumulation
   ExpectGradientsOk(
       [idx](const std::vector<Variable>& in) {
-        return ops::SumAll(ops::Square(ops::GatherRows(in[0], idx)));
+        return ops::SumAll(ops::Square(ref::GatherRows(in[0], idx)));
       },
       {Leaf(Tensor::Randn(3, 4, &rng))});
 }
@@ -238,7 +240,7 @@ TEST(GradCheckTest, ScatterAddRows) {
   std::vector<int64_t> idx = {1, 1, 0, 2};
   ExpectGradientsOk(
       [idx](const std::vector<Variable>& in) {
-        return ops::SumAll(ops::Square(ops::ScatterAddRows(in[0], idx, 4)));
+        return ops::SumAll(ops::Square(ref::ScatterAddRows(in[0], idx, 4)));
       },
       {Leaf(Tensor::Randn(4, 3, &rng))});
 }
@@ -257,7 +259,7 @@ TEST(GradCheckTest, RowScale) {
   Rng rng(17);
   ExpectGradientsOk(
       [](const std::vector<Variable>& in) {
-        return ops::SumAll(ops::Square(ops::RowScale(in[0], in[1])));
+        return ops::SumAll(ops::Square(ref::RowScale(in[0], in[1])));
       },
       {Leaf(Tensor::Randn(4, 3, &rng)), Leaf(Tensor::Randn(4, 1, &rng))});
 }
@@ -277,7 +279,7 @@ TEST(GradCheckTest, SegmentSoftmax) {
   ExpectGradientsOk(
       [seg](const std::vector<Variable>& in) {
         return ops::SumAll(
-            ops::Square(ops::SegmentSoftmax(in[0], seg, 3)));
+            ops::Square(ref::SegmentSoftmax(in[0], seg, 3)));
       },
       {Leaf(Tensor::Randn(6, 1, &rng))});
 }
@@ -316,14 +318,14 @@ TEST(DropoutTest, EvalModeIsIdentity) {
   Rng rng(21);
   Variable x = Leaf(Tensor::Randn(4, 4, &rng));
   Variable y = ops::Dropout(x, 0.5f, /*training=*/false, &rng);
-  EXPECT_TRUE(y.value().AllClose(x.value()));
+  EXPECT_TRUE(AllClose(y.value(), x.value()));
 }
 
 TEST(DropoutTest, ZeroProbabilityIsIdentity) {
   Rng rng(22);
   Variable x = Leaf(Tensor::Randn(4, 4, &rng));
   Variable y = ops::Dropout(x, 0.0f, /*training=*/true, &rng);
-  EXPECT_TRUE(y.value().AllClose(x.value()));
+  EXPECT_TRUE(AllClose(y.value(), x.value()));
 }
 
 TEST(DropoutTest, MaskZerosAndRescales) {

@@ -84,6 +84,16 @@ TEST_F(ChaosTest, SpecGrammarParsesEveryAction) {
   EXPECT_FALSE(failpoint::Configure("t.bad", "explode").ok());
   EXPECT_FALSE(failpoint::Configure("t.bad", "error(EBOGUS)").ok());
   EXPECT_FALSE(failpoint::Configure("t.bad", "").ok());
+  // Numbers parse strictly: junk and out-of-range values are errors, not
+  // a silent 0, 5 or 50.5.
+  for (const char* spec :
+       {"after(x)error(EIO)", "after()eintr", "after(-1)eintr",
+        "after(99999999999999999999)eintr", "0*eintr",
+        "99999999999999999999*eintr", "delay(x)", "delay(5ms)", "delay()",
+        "delay(-1)", "delay(4294967296)", "50.5.5%eintr", "0%eintr",
+        "101%eintr", "error(0)", "error(4294967309)"}) {
+    EXPECT_FALSE(failpoint::Configure("t.bad", spec).ok()) << spec;
+  }
   EXPECT_EQ(failpoint::Consult("t.bad").kind, Action::Kind::kNone);
 }
 

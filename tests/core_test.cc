@@ -285,6 +285,15 @@ TEST(UgcnStarTest, UnionContainsOriginalEdges) {
   }
 }
 
+// The mixing weight is sigmoid(theta); theta is the "theta" parameter.
+float Theta(const SimpGcnStarModel& model) {
+  for (const auto& [name, value] : model.StateDict()) {
+    if (name == "theta") return value.scalar();
+  }
+  ADD_FAILURE() << "no theta parameter";
+  return 0.0f;
+}
+
 TEST(SimpGcnStarTest, MixingWeightLearnable) {
   data::Dataset ds = TinyDataset();
   KnnGraphOptions kopts;
@@ -296,7 +305,7 @@ TEST(SimpGcnStarTest, MixingWeightLearnable) {
   mo.num_classes = ds.num_classes;
   mo.seed = 9;
   SimpGcnStarModel model(mo, knn.NormalizedAdjacency());
-  EXPECT_NEAR(model.MixingWeight(), 0.5f, 1e-6);
+  EXPECT_EQ(Theta(model), 0.0f);  // sigmoid(0) = 0.5: an even blend
 
   // One training step must move theta.
   data::SplitOptions so;
@@ -306,7 +315,7 @@ TEST(SimpGcnStarTest, MixingWeightLearnable) {
                                 nn::LayerInput::Sparse(ds.FeaturesCsr()),
                                 &ds.labels, {});
   for (int i = 0; i < 5; ++i) trainer.TrainEpoch(ds.graph, splits[0].train);
-  EXPECT_NE(model.MixingWeight(), 0.5f);
+  EXPECT_NE(Theta(model), 0.0f);
 }
 
 // ---- Bench helpers -------------------------------------------------------------------
@@ -315,10 +324,8 @@ TEST(BenchHelpersTest, QuickModeDefaults) {
   // Tests run without GRARE_BENCH_FULL; quick values returned.
   if (!BenchFullScale()) {
     EXPECT_EQ(BenchNumSplits(10, 2), 2);
-    EXPECT_EQ(BenchShrink(4), 4);
   } else {
     EXPECT_EQ(BenchNumSplits(10, 2), 10);
-    EXPECT_EQ(BenchShrink(4), 1);
   }
 }
 

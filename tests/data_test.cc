@@ -8,10 +8,14 @@
 #include "data/generator.h"
 #include "data/registry.h"
 #include "data/splits.h"
+#include "test_support.h"
 
 namespace graphrare {
 namespace data {
 namespace {
+
+using testing_ref::AllClose;
+using testing_ref::ToDense;
 
 GeneratorOptions BaseOptions() {
   GeneratorOptions o;
@@ -93,7 +97,7 @@ TEST(GeneratorTest, DeterministicForSeed) {
   Dataset b = std::move(GenerateDataset(BaseOptions())).value();
   EXPECT_EQ(a.graph.edges(), b.graph.edges());
   EXPECT_EQ(a.labels, b.labels);
-  EXPECT_TRUE(a.features.AllClose(b.features));
+  EXPECT_TRUE(AllClose(a.features, b.features));
 }
 
 TEST(GeneratorTest, DifferentSeedsDiffer) {
@@ -132,7 +136,7 @@ TEST(GeneratorTest, ValidationCatchesBadOptions) {
 TEST(GeneratorTest, FeaturesCsrMatchesDense) {
   Dataset ds = std::move(GenerateDataset(BaseOptions())).value();
   auto csr = ds.FeaturesCsr();
-  EXPECT_TRUE(csr->ToDense().AllClose(ds.features));
+  EXPECT_TRUE(AllClose(ToDense(*csr), ds.features));
   // Cached.
   EXPECT_EQ(csr.get(), ds.FeaturesCsr().get());
 }

@@ -5,11 +5,16 @@
 // 1 - JsDivergence on the raw degree sequences (no per-node cache). The
 // per-node sequences must match Build's exactly: same ids, same entropy
 // bits, same order.
+//
+// JsDivergence is also the oracle of StructuralEntropyCalculator::Between.
+// It is compiled with the flags of src/entropy (no -ffp-contract override),
+// so its sums contract, and round, like Between's.
 
 #ifndef GRAPHRARE_TESTS_ENTROPY_REFERENCE_H_
 #define GRAPHRARE_TESTS_ENTROPY_REFERENCE_H_
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_set>
 #include <vector>
 
@@ -17,6 +22,33 @@
 
 namespace graphrare {
 namespace testing_ref {
+
+/// Jensen-Shannon divergence between two discrete distributions given as
+/// (possibly different-length) arrays; missing tail entries are zeros.
+/// Inputs must be non-negative and sum to 1 (up to rounding). Log base 2.
+inline double JsDivergence(const std::vector<float>& p,
+                           const std::vector<float>& q) {
+  constexpr double kLog2 = 0.6931471805599453;  // ln 2
+  const auto xlogx = [](double x) { return x > 0.0 ? x * std::log(x) : 0.0; };
+  const size_t n = std::max(p.size(), q.size());
+  // JS(p,q) = H(m) - (H(p) + H(q))/2 in nats, converted to bits; zero tail
+  // entries contribute nothing.
+  double h_m = 0.0, h_p = 0.0, h_q = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const double pi = i < p.size() ? p[i] : 0.0;
+    const double qi = i < q.size() ? q[i] : 0.0;
+    const double mi = 0.5 * (pi + qi);
+    h_m -= xlogx(mi);
+    h_p -= xlogx(pi);
+    h_q -= xlogx(qi);
+  }
+  const double js_nats = h_m - 0.5 * (h_p + h_q);
+  double js_bits = js_nats / kLog2;
+  // Clamp tiny negative rounding noise.
+  if (js_bits < 0.0) js_bits = 0.0;
+  if (js_bits > 1.0) js_bits = 1.0;
+  return js_bits;
+}
 
 inline std::vector<entropy::NodeSequences> ReferenceEntropySequences(
     const graph::Graph& g, const tensor::Tensor& features,
@@ -85,8 +117,8 @@ inline std::vector<entropy::NodeSequences> ReferenceEntropySequences(
     entropy::NodeSequences& seq = out[sv];
     for (size_t i = begin[sv]; i < begin[sv + 1]; ++i) {
       const int64_t u = pairs[i].second;
-      const double hs = 1.0 - entropy::JsDivergence(structural.Sequence(v),
-                                                    structural.Sequence(u));
+      const double hs =
+          1.0 - JsDivergence(structural.Sequence(v), structural.Sequence(u));
       const double h = hf[i] + options.lambda * hs;
       if (i - begin[sv] < remote_count[sv]) {
         seq.remote.push_back({u, h});

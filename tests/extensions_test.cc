@@ -11,9 +11,13 @@
 #include "data/io.h"
 #include "core/graphrare.h"
 #include "core/telemetry.h"
+#include "test_support.h"
 
 namespace graphrare {
 namespace {
+
+using testing_ref::AllClose;
+using testing_ref::HasNonFinite;
 
 data::Dataset Small(uint64_t seed = 51) {
   data::GeneratorOptions o;
@@ -44,7 +48,7 @@ TEST(DatasetIoTest, RoundTrip) {
   EXPECT_EQ(loaded->num_classes, ds.num_classes);
   EXPECT_EQ(loaded->labels, ds.labels);
   EXPECT_EQ(loaded->graph.edges(), ds.graph.edges());
-  EXPECT_TRUE(loaded->features.AllClose(ds.features, 0.0f, 0.0f));
+  EXPECT_TRUE(AllClose(loaded->features, ds.features, 0.0f, 0.0f));
   std::remove(path.c_str());
 }
 
@@ -277,7 +281,7 @@ TEST(NewBackboneTest, SgcAndAppnpProduceLogits) {
     tensor::Tensor logits = model->Logits(in, false, nullptr).value();
     EXPECT_EQ(logits.rows(), ds.num_nodes());
     EXPECT_EQ(logits.cols(), ds.num_classes);
-    EXPECT_FALSE(logits.HasNonFinite());
+    EXPECT_FALSE(HasNonFinite(logits));
   }
 }
 

@@ -13,10 +13,14 @@
 #include "common/rng.h"
 #include "graph/graph_editor.h"
 #include "graph/reorder.h"
+#include "test_support.h"
 
 namespace graphrare {
 namespace graph {
 namespace {
+
+using testing_ref::At;
+using testing_ref::KHopNeighbors;
 
 // 0-1, 1-2, 2-3, 3-0 square plus 0-2 diagonal.
 Graph Square() {
@@ -65,7 +69,7 @@ TEST(GraphTest, HasEdgeSymmetric) {
 
 TEST(GraphTest, NeighborsSorted) {
   Graph g = Square();
-  const auto n0 = g.Neighbors(0);
+  const std::vector<int64_t> n0(g.NeighborsBegin(0), g.NeighborsEnd(0));
   EXPECT_EQ(n0, (std::vector<int64_t>{1, 2, 3}));
 }
 
@@ -73,9 +77,9 @@ TEST(GraphTest, AdjacencyMatchesEdges) {
   Graph g = Square();
   auto a = g.Adjacency();
   EXPECT_EQ(a->nnz(), 10);  // 2 * 5 edges
-  EXPECT_FLOAT_EQ(a->At(0, 1), 1.0f);
-  EXPECT_FLOAT_EQ(a->At(1, 0), 1.0f);
-  EXPECT_FLOAT_EQ(a->At(0, 0), 0.0f);
+  EXPECT_FLOAT_EQ(At(*a, 0, 1), 1.0f);
+  EXPECT_FLOAT_EQ(At(*a, 1, 0), 1.0f);
+  EXPECT_FLOAT_EQ(At(*a, 0, 0), 0.0f);
 }
 
 TEST(GraphTest, NormalizedAdjacencyRowsSumCorrectly) {
@@ -84,8 +88,8 @@ TEST(GraphTest, NormalizedAdjacencyRowsSumCorrectly) {
   Graph g = Graph::FromEdgeListOrDie(2, {{0, 1}});
   auto norm = g.NormalizedAdjacency();
   // Both nodes have degree 1 -> (A+I) degrees are 2.
-  EXPECT_NEAR(norm->At(0, 0), 0.5f, 1e-6);
-  EXPECT_NEAR(norm->At(0, 1), 0.5f, 1e-6);
+  EXPECT_NEAR(At(*norm, 0, 0), 0.5f, 1e-6);
+  EXPECT_NEAR(At(*norm, 0, 1), 0.5f, 1e-6);
 }
 
 TEST(GraphTest, RowNormalizedAdjacencySums) {
@@ -110,11 +114,11 @@ TEST(GraphTest, TwoHopExcludesSelfAndOneHop) {
   // Path 0-1-2-3.
   Graph g = Graph::FromEdgeListOrDie(4, {{0, 1}, {1, 2}, {2, 3}});
   auto two = g.TwoHopAdjacency();
-  EXPECT_FLOAT_EQ(two->At(0, 2), 1.0f);
-  EXPECT_FLOAT_EQ(two->At(1, 3), 1.0f);
-  EXPECT_FLOAT_EQ(two->At(0, 1), 0.0f);  // 1-hop excluded
-  EXPECT_FLOAT_EQ(two->At(0, 0), 0.0f);  // self excluded
-  EXPECT_FLOAT_EQ(two->At(0, 3), 0.0f);  // 3 hops away
+  EXPECT_FLOAT_EQ(At(*two, 0, 2), 1.0f);
+  EXPECT_FLOAT_EQ(At(*two, 1, 3), 1.0f);
+  EXPECT_FLOAT_EQ(At(*two, 0, 1), 0.0f);  // 1-hop excluded
+  EXPECT_FLOAT_EQ(At(*two, 0, 0), 0.0f);  // self excluded
+  EXPECT_FLOAT_EQ(At(*two, 0, 3), 0.0f);  // 3 hops away
 }
 
 TEST(GraphTest, TriangleHasNoStrictTwoHop) {
@@ -125,10 +129,10 @@ TEST(GraphTest, TriangleHasNoStrictTwoHop) {
 TEST(GraphTest, KHopNeighbors) {
   // Path 0-1-2-3-4.
   Graph g = Graph::FromEdgeListOrDie(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
-  EXPECT_EQ(g.KHopNeighbors(0, 1), (std::vector<int64_t>{1}));
-  EXPECT_EQ(g.KHopNeighbors(0, 2), (std::vector<int64_t>{1, 2}));
-  EXPECT_EQ(g.KHopNeighbors(0, 4), (std::vector<int64_t>{1, 2, 3, 4}));
-  EXPECT_TRUE(g.KHopNeighbors(0, 0).empty());
+  EXPECT_EQ(KHopNeighbors(g, 0, 1), (std::vector<int64_t>{1}));
+  EXPECT_EQ(KHopNeighbors(g, 0, 2), (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(KHopNeighbors(g, 0, 4), (std::vector<int64_t>{1, 2, 3, 4}));
+  EXPECT_TRUE(KHopNeighbors(g, 0, 0).empty());
 }
 
 TEST(GraphTest, DirectedEdgesWithSelfLoops) {
@@ -303,7 +307,7 @@ TEST(ReorderTest, ReorderCsrRoundTripsBitwise) {
       for (int64_t p = m.row_ptr()[static_cast<size_t>(r)];
            p < m.row_ptr()[static_cast<size_t>(r) + 1]; ++p) {
         const int64_t c = m.col_idx()[static_cast<size_t>(p)];
-        EXPECT_EQ(fwd.At(perm[static_cast<size_t>(r)],
+        EXPECT_EQ(At(fwd, perm[static_cast<size_t>(r)],
                          perm[static_cast<size_t>(c)]),
                   m.values()[static_cast<size_t>(p)]);
       }

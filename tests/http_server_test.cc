@@ -239,12 +239,24 @@ TEST_F(HttpServerTest, TopKBodyIsByteExact) {
   StartServer();
   TestClient client(port());
   ASSERT_TRUE(client.ok());
-  client.Request("POST", "/v1/topk", "{\"node\":5,\"k\":3}");
-  ClientResponse r;
-  ASSERT_TRUE(client.ReadResponse(&r));
-  EXPECT_EQ(r.status, 200);
   const auto pred = handle_->Get()->Predict({5}).value();
-  EXPECT_EQ(r.body, net::TopKToJson(5, serve::TopKOf(pred[0], 3)));
+  const int64_t num_classes = handle_->Get()->num_classes();
+  const struct {
+    const char* body;
+    int64_t k;  // the ranking the body must return
+  } kCases[] = {
+      {"{\"node\":5,\"k\":3}", 3},
+      // 2^32 + 1: a k narrowed to 32 bits would read as 1.
+      {"{\"node\":5,\"k\":4294967297}", num_classes},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.body);
+    client.Request("POST", "/v1/topk", c.body);
+    ClientResponse r;
+    ASSERT_TRUE(client.ReadResponse(&r));
+    EXPECT_EQ(r.status, 200);
+    EXPECT_EQ(r.body, net::TopKToJson(5, serve::TopKOf(pred[0], c.k)));
+  }
 }
 
 TEST_F(HttpServerTest, MetricsCountRequests) {

@@ -11,9 +11,13 @@
 #include <gtest/gtest.h>
 
 #include "core/graphrare.h"
+#include "test_support.h"
 
 namespace graphrare {
 namespace {
+
+using testing_ref::AllClose;
+using testing_ref::At;
 
 using data::NeighborSampler;
 using data::SamplerOptions;
@@ -100,7 +104,7 @@ void ExpectFullFanoutEquivalence(nn::BackboneKind kind, size_t num_layers) {
     ASSERT_TRUE(full_params[i].has_grad());
     ASSERT_TRUE(mb_params[i].has_grad());
     EXPECT_TRUE(
-        full_params[i].grad().AllClose(mb_params[i].grad(), 0.0f, 0.0f))
+        AllClose(full_params[i].grad(), mb_params[i].grad(), 0.0f, 0.0f))
         << "parameter " << i << " gradients diverge";
   }
 }
@@ -146,7 +150,7 @@ TEST(MiniBatchEquivalenceTest, TrainersProduceIdenticalWeightsAfterOneStep) {
   const auto mb_weights = mb.SaveWeights();
   ASSERT_EQ(full_weights.size(), mb_weights.size());
   for (size_t i = 0; i < full_weights.size(); ++i) {
-    EXPECT_TRUE(full_weights[i].AllClose(mb_weights[i], 0.0f, 0.0f))
+    EXPECT_TRUE(AllClose(full_weights[i], mb_weights[i], 0.0f, 0.0f))
         << "post-Adam weights diverge at parameter " << i;
   }
 }
@@ -225,7 +229,7 @@ TEST(MiniBatchTest, SelectRowsSlicesFeatureRowsExactly) {
   EXPECT_EQ(sliced.cols(), csr->cols());
   for (size_t i = 0; i < rows.size(); ++i) {
     for (int64_t c = 0; c < csr->cols(); ++c) {
-      EXPECT_EQ(sliced.At(static_cast<int64_t>(i), c), csr->At(rows[i], c));
+      EXPECT_EQ(At(sliced, static_cast<int64_t>(i), c), At(*csr, rows[i], c));
     }
   }
 }

@@ -2,8 +2,9 @@
 // parser's negative-path surface (truncation, oversized inputs, malformed
 // framing, pipelining), the JSON body parser, the hardened stats helpers,
 // and the continuous batcher's contracts — bitwise determinism against a
-// direct PredictBatch call for any arrival/batch interleaving, queue-full
-// admission control, drain-on-Stop, and hot-swap at the batcher seam.
+// direct PredictBatchWithSeeds call for any arrival/batch interleaving,
+// queue-full admission control, drain-on-Stop, and hot-swap at the batcher
+// seam.
 
 #include <chrono>
 #include <condition_variable>
@@ -387,6 +388,13 @@ std::vector<std::vector<int64_t>> SampleRequests() {
           {42, 1},   {8}, {0},    {19, 20, 21}, {4, 4}};
 }
 
+/// The batcher's seeds for n requests submitted in order: 0, 1, ..., n-1.
+std::vector<uint64_t> ArrivalSeeds(size_t n) {
+  std::vector<uint64_t> seeds(n);
+  for (size_t i = 0; i < n; ++i) seeds[i] = i;
+  return seeds;
+}
+
 void ExpectPredictionsBitwise(const std::vector<serve::Prediction>& a,
                               const std::vector<serve::Prediction>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -428,7 +436,8 @@ TEST(BatcherTest, ResponsesBitwiseEqualDirectPredictBatch) {
   // strong version of the contract — the arrival index must be the seed.
   const auto handle = MakeHandle(7, {3, 2});
   const auto requests = SampleRequests();
-  const auto expected = handle->Get()->PredictBatch(requests);
+  const auto expected = handle->Get()->PredictBatchWithSeeds(
+      requests, ArrivalSeeds(requests.size()));
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   // Any scheduler shape must reproduce the direct call bitwise.

@@ -29,9 +29,12 @@
 #include "data/block_pipeline.h"
 #include "data/partitioner.h"
 #include "full_graph_reference.h"
+#include "test_support.h"
 
 namespace graphrare {
 namespace {
+
+using testing_ref::AllClose;
 
 using core::BlockRolloutOptions;
 using core::BlockRolloutRunner;
@@ -553,7 +556,7 @@ TEST(BackwardCompatTest, PrefetchedRolloutMatchesInlineBitwise) {
   ASSERT_EQ(inline_out.weights.size(), piped_out.weights.size());
   for (size_t i = 0; i < inline_out.weights.size(); ++i) {
     EXPECT_TRUE(
-        inline_out.weights[i].AllClose(piped_out.weights[i], 0.0f, 0.0f))
+        AllClose(inline_out.weights[i], piped_out.weights[i], 0.0f, 0.0f))
         << "weights diverge at parameter " << i;
   }
 }

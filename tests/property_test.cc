@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include "core/graphrare.h"
-#include "tensor/grad_check.h"
+#include "test_support.h"
 
 namespace graphrare {
 namespace {
+
+using testing_ref::AllClose;
+using testing_ref::At;
 
 // ===== Generator invariants over a (homophily x size) grid ==================
 
@@ -39,7 +42,7 @@ TEST_P(GeneratorPropertyTest, PlantedStatisticsHold) {
   // but verify via the CSR too).
   auto adj = ds.graph.Adjacency();
   for (int64_t v = 0; v < ds.num_nodes(); ++v) {
-    EXPECT_EQ(adj->At(v, v), 0.0f);
+    EXPECT_EQ(At(*adj, v, v), 0.0f);
   }
 }
 
@@ -229,7 +232,7 @@ TEST_P(AutogradPropertyTest, GradientOfSumIsSumOfGradients) {
   tensor::Tensor g_a = grad_of(0.7f, 0.0f);
   tensor::Tensor g_b = grad_of(0.0f, 1.3f);
   g_a.AddInPlace(g_b);
-  EXPECT_TRUE(g_both.AllClose(g_a, 1e-4f, 1e-3f));
+  EXPECT_TRUE(AllClose(g_both, g_a, 1e-4f, 1e-3f));
 }
 
 TEST_P(AutogradPropertyTest, SoftmaxRowsSumToOne) {

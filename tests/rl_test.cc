@@ -66,18 +66,6 @@ TEST(PpoAgentTest, ReadyToUpdateAfterRolloutFills) {
   EXPECT_EQ(agent.num_updates(), 1);
 }
 
-TEST(PpoAgentTest, MeanBufferedReward) {
-  PpoOptions opts;
-  opts.steps_per_update = 8;
-  PpoAgent agent(4, opts);
-  Rng rng(4);
-  agent.Act(Tensor::Rand(3, 4, &rng));
-  agent.StoreReward(1.0);
-  agent.Act(Tensor::Rand(3, 4, &rng));
-  agent.StoreReward(3.0);
-  EXPECT_DOUBLE_EQ(agent.MeanBufferedReward(), 2.0);
-}
-
 TEST(PpoAgentDeathTest, DoubleActAborts) {
   PpoAgent agent(4, {});
   Rng rng(5);

@@ -10,9 +10,12 @@
 #include <gtest/gtest.h>
 
 #include "data/generator.h"
+#include "test_support.h"
 
 namespace graphrare {
 namespace {
+
+using testing_ref::KHopNeighbors;
 
 using data::NeighborSampler;
 using data::SamplerOptions;
@@ -214,7 +217,7 @@ TEST(SamplerTest, FullFanoutCoversKHopClosure) {
   const Subgraph block = sampler.SampleBlock(seeds);
   std::set<int64_t> expected(seeds.begin(), seeds.end());
   for (const int64_t s : seeds) {
-    for (const int64_t v : ds.graph.KHopNeighbors(s, 2)) expected.insert(v);
+    for (const int64_t v : KHopNeighbors(ds.graph, s, 2)) expected.insert(v);
   }
   EXPECT_EQ(block.nodes,
             std::vector<int64_t>(expected.begin(), expected.end()));
@@ -243,7 +246,8 @@ TEST(SamplerTest, UnlimitedFanoutKeepsEveryNeighborWithoutRngDraws) {
   Rng rng(5);
   const auto all =
       NeighborSampler::SampleNeighbors(ds.graph, v, -1, false, &rng);
-  EXPECT_EQ(all, ds.graph.Neighbors(v));
+  EXPECT_EQ(all, std::vector<int64_t>(ds.graph.NeighborsBegin(v),
+                                      ds.graph.NeighborsEnd(v)));
   // -1 validates; 0 still does not.
   SamplerOptions opts;
   opts.fanouts = {-1, -1};
@@ -255,7 +259,7 @@ TEST(SamplerTest, UnlimitedFanoutKeepsEveryNeighborWithoutRngDraws) {
   opts.fanouts = {-1, -1};
   NeighborSampler sampler(&ds.graph, opts);
   const Subgraph block = sampler.SampleBlock({v});
-  std::vector<int64_t> want = ds.graph.KHopNeighbors(v, 2);
+  std::vector<int64_t> want = KHopNeighbors(ds.graph, v, 2);
   want.push_back(v);
   std::sort(want.begin(), want.end());
   EXPECT_EQ(block.nodes, want);

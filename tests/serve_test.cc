@@ -463,10 +463,12 @@ TEST(InferenceEngineTest, ConcurrentPredictBatchIsDeterministic) {
   for (int64_t r = 0; r < 32; ++r) {
     requests.push_back({r % ds.num_nodes(), (7 * r + 3) % ds.num_nodes()});
   }
+  std::vector<uint64_t> seeds(requests.size());
+  for (size_t r = 0; r < seeds.size(); ++r) seeds[r] = r;
   // The batch (OpenMP-parallel when compiled in) must agree with itself
   // across runs — scheduling must not leak into the sampling streams.
-  auto first = engine.PredictBatch(requests);
-  auto second = engine.PredictBatch(requests);
+  auto first = engine.PredictBatchWithSeeds(requests, seeds);
+  auto second = engine.PredictBatchWithSeeds(requests, seeds);
   ASSERT_TRUE(first.ok() && second.ok());
   ASSERT_EQ(first->size(), requests.size());
   for (size_t r = 0; r < requests.size(); ++r) {
@@ -480,7 +482,7 @@ TEST(InferenceEngineTest, ConcurrentPredictBatchIsDeterministic) {
   }
   // A batch error (one bad request) surfaces without answering.
   requests[5] = {ds.num_nodes() + 10};
-  EXPECT_FALSE(engine.PredictBatch(requests).ok());
+  EXPECT_FALSE(engine.PredictBatchWithSeeds(requests, seeds).ok());
 }
 
 // ---- End-to-end: train -> artifact -> fresh engine ------------------------

@@ -10,12 +10,18 @@
 
 #include <gtest/gtest.h>
 
-#include "tensor/grad_check.h"
 #include "tensor/ops.h"
+#include "test_support.h"
 
 namespace graphrare {
 namespace tensor {
 namespace {
+
+namespace ref = testing_ref;
+using ref::AllClose;
+using ref::Transposed;
+using ref::ToDense;
+using ref::At;
 
 CsrMatrix SmallMatrix() {
   // [[0 2 0]
@@ -30,17 +36,17 @@ TEST(CsrTest, FromCooBasics) {
   EXPECT_EQ(m.rows(), 3);
   EXPECT_EQ(m.cols(), 3);
   EXPECT_EQ(m.nnz(), 4);
-  EXPECT_FLOAT_EQ(m.At(0, 1), 2.0f);
-  EXPECT_FLOAT_EQ(m.At(1, 0), 1.0f);
-  EXPECT_FLOAT_EQ(m.At(2, 2), 4.0f);
-  EXPECT_FLOAT_EQ(m.At(0, 0), 0.0f);
+  EXPECT_FLOAT_EQ(At(m, 0, 1), 2.0f);
+  EXPECT_FLOAT_EQ(At(m, 1, 0), 1.0f);
+  EXPECT_FLOAT_EQ(At(m, 2, 2), 4.0f);
+  EXPECT_FLOAT_EQ(At(m, 0, 0), 0.0f);
 }
 
 TEST(CsrTest, DuplicateEntriesSummed) {
   CsrMatrix m =
       CsrMatrix::FromCoo(2, 2, {{0, 0, 1.0f}, {0, 0, 2.5f}, {1, 1, 1.0f}});
   EXPECT_EQ(m.nnz(), 2);
-  EXPECT_FLOAT_EQ(m.At(0, 0), 3.5f);
+  EXPECT_FLOAT_EQ(At(m, 0, 0), 3.5f);
 }
 
 TEST(CsrTest, UnsortedInputSorted) {
@@ -59,14 +65,15 @@ TEST(CsrTest, EmptyMatrix) {
   EXPECT_EQ(m.nnz(), 0);
   Tensor x = Tensor::Ones(3, 2);
   Tensor y = m.SpMM(x);
-  EXPECT_TRUE(y.AllClose(Tensor::Zeros(3, 2)));
+  EXPECT_TRUE(AllClose(y, Tensor::Zeros(3, 2)));
 }
 
 TEST(CsrTest, IdentitySpMMIsNoop) {
   Rng rng(1);
   Tensor x = Tensor::Randn(4, 3, &rng);
-  CsrMatrix eye = CsrMatrix::Identity(4);
-  EXPECT_TRUE(eye.SpMM(x).AllClose(x));
+  CsrMatrix eye = CsrMatrix::FromCoo(
+      4, 4, {{0, 0, 1.0f}, {1, 1, 1.0f}, {2, 2, 1.0f}, {3, 3, 1.0f}});
+  EXPECT_TRUE(AllClose(eye.SpMM(x), x));
 }
 
 TEST(CsrTest, SpMMMatchesDense) {
@@ -74,14 +81,14 @@ TEST(CsrTest, SpMMMatchesDense) {
   CsrMatrix m = SmallMatrix();
   Tensor x = Tensor::Randn(3, 5, &rng);
   Tensor sparse_result = m.SpMM(x);
-  Tensor dense_result = MatMul(m.ToDense(), x);
-  EXPECT_TRUE(sparse_result.AllClose(dense_result));
+  Tensor dense_result = MatMul(ToDense(m), x);
+  EXPECT_TRUE(AllClose(sparse_result, dense_result));
 }
 
 TEST(CsrTest, TransposeMatchesDense) {
   CsrMatrix m = SmallMatrix();
   auto t = m.Transposed();
-  EXPECT_TRUE(t->ToDense().AllClose(m.ToDense().Transposed()));
+  EXPECT_TRUE(AllClose(ToDense(*t), Transposed(ToDense(m))));
 }
 
 TEST(CsrTest, TransposeIsCached) {
@@ -97,8 +104,8 @@ TEST(CsrTest, MultiplyMatchesDense) {
   CsrMatrix b = CsrMatrix::FromCoo(
       3, 4, {{0, 0, 1.0f}, {1, 2, 2.0f}, {2, 1, -1.0f}, {2, 3, 0.5f}});
   CsrMatrix c = a.Multiply(b);
-  Tensor expect = MatMul(a.ToDense(), b.ToDense());
-  EXPECT_TRUE(c.ToDense().AllClose(expect));
+  Tensor expect = MatMul(ToDense(a), ToDense(b));
+  EXPECT_TRUE(AllClose(ToDense(c), expect));
 }
 
 TEST(CsrTest, MultiplySquareOfAdjacencyCountsPaths) {
@@ -109,15 +116,9 @@ TEST(CsrTest, MultiplySquareOfAdjacencyCountsPaths) {
                                     {1, 2, 1.0f},
                                     {2, 1, 1.0f}});
   CsrMatrix a2 = a.Multiply(a);
-  EXPECT_FLOAT_EQ(a2.At(0, 2), 1.0f);
-  EXPECT_FLOAT_EQ(a2.At(0, 0), 1.0f);  // back-and-forth
-  EXPECT_FLOAT_EQ(a2.At(1, 1), 2.0f);  // two return paths via 0 and 2
-}
-
-TEST(CsrTest, WithUniformValues) {
-  CsrMatrix m = SmallMatrix().WithUniformValues(1.0f);
-  for (float v : m.values()) EXPECT_EQ(v, 1.0f);
-  EXPECT_EQ(m.nnz(), 4);
+  EXPECT_FLOAT_EQ(At(a2, 0, 2), 1.0f);
+  EXPECT_FLOAT_EQ(At(a2, 0, 0), 1.0f);  // back-and-forth
+  EXPECT_FLOAT_EQ(At(a2, 1, 1), 2.0f);  // two return paths via 0 and 2
 }
 
 TEST(CsrTest, SelectRowsCopiesRowsInOrder) {
@@ -126,10 +127,10 @@ TEST(CsrTest, SelectRowsCopiesRowsInOrder) {
   EXPECT_EQ(s.rows(), 3);
   EXPECT_EQ(s.cols(), 3);
   EXPECT_EQ(s.nnz(), 5);  // rows 2 (2 entries) + 0 (1) + 2 (2)
-  EXPECT_FLOAT_EQ(s.At(0, 1), 3.0f);
-  EXPECT_FLOAT_EQ(s.At(0, 2), 4.0f);
-  EXPECT_FLOAT_EQ(s.At(1, 1), 2.0f);
-  EXPECT_FLOAT_EQ(s.At(2, 2), 4.0f);
+  EXPECT_FLOAT_EQ(At(s, 0, 1), 3.0f);
+  EXPECT_FLOAT_EQ(At(s, 0, 2), 4.0f);
+  EXPECT_FLOAT_EQ(At(s, 1, 1), 2.0f);
+  EXPECT_FLOAT_EQ(At(s, 2, 2), 4.0f);
   EXPECT_EQ(m.SelectRows({}).rows(), 0);
 }
 
@@ -147,7 +148,7 @@ void ExpectSpMMGradOk(CsrMatrix a, int64_t x_cols) {
   auto f = [shared](const std::vector<Variable>& in) {
     return ops::MeanAll(ops::Square(ops::SpMM(shared, in[0])));
   };
-  const GradCheckResult r = CheckGradient(f, &inputs, 0);
+  const ref::GradCheckResult r = ref::CheckGradient(f, &inputs, 0);
   EXPECT_TRUE(r.ok) << "max_abs_err=" << r.max_abs_err
                     << " max_rel_err=" << r.max_rel_err << " at flat index "
                     << r.worst_index;
@@ -199,10 +200,10 @@ TEST(CsrGradTest, SpMMBackwardMatchesDenseMatMulGrad) {
   ops::MeanAll(ops::Square(ops::SpMM(shared, x_sparse))).Backward();
 
   Variable x_dense(x0, /*requires_grad=*/true);
-  Variable a_const(a.ToDense(), /*requires_grad=*/false);
+  Variable a_const(ToDense(a), /*requires_grad=*/false);
   ops::MeanAll(ops::Square(ops::MatMul(a_const, x_dense))).Backward();
 
-  EXPECT_TRUE(x_sparse.grad().AllClose(x_dense.grad(), 1e-6f, 1e-5f));
+  EXPECT_TRUE(AllClose(x_sparse.grad(), x_dense.grad(), 1e-6f, 1e-5f));
 }
 
 TEST(CsrDeathTest, OutOfRangeCooAborts) {
@@ -288,7 +289,7 @@ TEST(CsrTransposedTest, ConcurrentCallsShareOneInstance) {
     for (int64_t p = m.row_ptr()[static_cast<size_t>(r)];
          p < m.row_ptr()[static_cast<size_t>(r) + 1]; ++p) {
       EXPECT_EQ(
-          results[0]->At(m.col_idx()[static_cast<size_t>(p)], r),
+          At(*results[0], m.col_idx()[static_cast<size_t>(p)], r),
           m.values()[static_cast<size_t>(p)]);
     }
   }

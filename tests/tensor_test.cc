@@ -1,12 +1,18 @@
 // Tensor value-type and dense kernel tests.
 
 #include "tensor/tensor.h"
+#include "test_support.h"
 
 #include <gtest/gtest.h>
 
 namespace graphrare {
 namespace tensor {
 namespace {
+
+using testing_ref::AllClose;
+using testing_ref::MaxAbs;
+using testing_ref::HasNonFinite;
+using testing_ref::Transposed;
 
 TEST(TensorTest, DefaultConstructedIsEmpty) {
   Tensor t;
@@ -76,7 +82,7 @@ TEST(TensorTest, GlorotUniformBounds) {
   Rng rng(3);
   Tensor w = Tensor::GlorotUniform(100, 50, &rng);
   const float limit = std::sqrt(6.0f / 150.0f);
-  EXPECT_LE(w.MaxAbs(), limit);
+  EXPECT_LE(MaxAbs(w), limit);
 }
 
 TEST(TensorTest, AddInPlace) {
@@ -110,7 +116,7 @@ TEST(TensorTest, MulInPlace) {
 
 TEST(TensorTest, Transposed) {
   Tensor a = Tensor::FromData(2, 3, {1, 2, 3, 4, 5, 6});
-  Tensor t = a.Transposed();
+  Tensor t = Transposed(a);
   EXPECT_EQ(t.rows(), 3);
   EXPECT_EQ(t.cols(), 2);
   EXPECT_EQ(t.at(0, 1), 4.0f);
@@ -120,27 +126,27 @@ TEST(TensorTest, Transposed) {
 TEST(TensorTest, AllCloseToleratesSmallDiffs) {
   Tensor a = Tensor::Full(2, 2, 1.0f);
   Tensor b = Tensor::Full(2, 2, 1.0f + 1e-6f);
-  EXPECT_TRUE(a.AllClose(b));
+  EXPECT_TRUE(AllClose(a, b));
   Tensor c = Tensor::Full(2, 2, 1.1f);
-  EXPECT_FALSE(a.AllClose(c));
+  EXPECT_FALSE(AllClose(a, c));
   Tensor d = Tensor::Full(2, 3, 1.0f);
-  EXPECT_FALSE(a.AllClose(d));
+  EXPECT_FALSE(AllClose(a, d));
 }
 
 TEST(TensorTest, SumMeanMaxAbs) {
   Tensor a = Tensor::FromData(2, 2, {-1, 2, -3, 4});
   EXPECT_FLOAT_EQ(a.Sum(), 2.0f);
   EXPECT_FLOAT_EQ(a.Mean(), 0.5f);
-  EXPECT_FLOAT_EQ(a.MaxAbs(), 4.0f);
+  EXPECT_FLOAT_EQ(MaxAbs(a), 4.0f);
 }
 
 TEST(TensorTest, HasNonFinite) {
   Tensor a = Tensor::Full(2, 2, 1.0f);
-  EXPECT_FALSE(a.HasNonFinite());
+  EXPECT_FALSE(HasNonFinite(a));
   a.at(1, 1) = std::numeric_limits<float>::infinity();
-  EXPECT_TRUE(a.HasNonFinite());
+  EXPECT_TRUE(HasNonFinite(a));
   a.at(1, 1) = std::numeric_limits<float>::quiet_NaN();
-  EXPECT_TRUE(a.HasNonFinite());
+  EXPECT_TRUE(HasNonFinite(a));
 }
 
 TEST(TensorTest, ArgMaxRow) {
@@ -170,25 +176,25 @@ TEST(MatMulTest, IdentityIsNoop) {
   Rng rng(5);
   Tensor a = Tensor::Randn(4, 4, &rng);
   Tensor c = MatMul(a, Tensor::Eye(4));
-  EXPECT_TRUE(c.AllClose(a));
+  EXPECT_TRUE(AllClose(c, a));
 }
 
 TEST(MatMulTest, TransAMatchesExplicitTranspose) {
   Rng rng(6);
   Tensor a = Tensor::Randn(5, 3, &rng);
   Tensor b = Tensor::Randn(5, 4, &rng);
-  Tensor expect = MatMul(a.Transposed(), b);
+  Tensor expect = MatMul(Transposed(a), b);
   Tensor got = MatMulTransA(a, b);
-  EXPECT_TRUE(got.AllClose(expect));
+  EXPECT_TRUE(AllClose(got, expect));
 }
 
 TEST(MatMulTest, TransBMatchesExplicitTranspose) {
   Rng rng(8);
   Tensor a = Tensor::Randn(5, 3, &rng);
   Tensor b = Tensor::Randn(4, 3, &rng);
-  Tensor expect = MatMul(a, b.Transposed());
+  Tensor expect = MatMul(a, Transposed(b));
   Tensor got = MatMulTransB(a, b);
-  EXPECT_TRUE(got.AllClose(expect));
+  EXPECT_TRUE(AllClose(got, expect));
 }
 
 TEST(ReductionTest, ColSumRowSum) {
