@@ -35,14 +35,13 @@ void EditMerger::RecordBlock(const graph::Subgraph& block,
 }
 
 graph::Graph EditMerger::Merge(const graph::Graph& original) const {
-  graph::GraphEditor editor(&original);
+  std::vector<graph::EdgeEdit> edge_edits;
   for (const auto& [v, edits] : edits_) {
     GR_CHECK(v >= 0 && v < original.num_nodes())
         << "EditMerger: recorded node outside the base graph";
-    for (const int64_t u : edits.add) editor.AddEdge(v, u);
-    for (const int64_t u : edits.remove) editor.RemoveEdge(v, u);
+    AppendEdgeEdits(v, edits, &edge_edits);
   }
-  return editor.Build();
+  return graph::ApplyEdgeEdits(original, edge_edits);
 }
 
 }  // namespace core

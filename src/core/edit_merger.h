@@ -74,9 +74,11 @@ class EditMerger {
   /// Conflict counters of the current window.
   const ConflictStats& round_stats() const { return round_stats_; }
 
-  /// Applies all recorded edits to `original` (ascending node order, so the
-  /// result is independent of container iteration quirks). Removals win
-  /// over additions of the same edge, as in graph::GraphEditor.
+  /// Applies all recorded edits to `original` in ascending node order
+  /// (AppendEdgeEdits), so the last edit of an edge wins: a higher node's
+  /// slice overrides a lower node's on a shared edge, and within one slice
+  /// a removal overrides an addition. A base edge that a lower node
+  /// removes and a higher node adds ends up present.
   graph::Graph Merge(const graph::Graph& original) const;
 
  private:

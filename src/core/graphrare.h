@@ -40,7 +40,6 @@
 #include "data/splits.h"
 #include "entropy/relative_entropy.h"
 #include "graph/graph.h"
-#include "graph/graph_editor.h"
 #include "graph/subgraph.h"
 #include "nn/models.h"
 #include "nn/trainer.h"

@@ -37,20 +37,25 @@ NodeEdits EditsForNode(int64_t v, const TopologyState& state,
   return edits;
 }
 
+void AppendEdgeEdits(int64_t v, const NodeEdits& edits,
+                     std::vector<graph::EdgeEdit>* out) {
+  for (const int64_t u : edits.add) out->push_back({v, u, true});
+  for (const int64_t u : edits.remove) out->push_back({v, u, false});
+}
+
 graph::Graph BuildOptimizedGraph(const graph::Graph& original,
                                  const TopologyState& state,
                                  const entropy::RelativeEntropyIndex& index,
                                  const TopologyOptimizerOptions& options) {
   GR_CHECK_EQ(original.num_nodes(), state.num_nodes());
   GR_CHECK_EQ(original.num_nodes(), index.num_nodes());
-  graph::GraphEditor editor(&original);
+  std::vector<graph::EdgeEdit> edge_edits;
   NodeEdits edits;  // reused across nodes: the per-step loop is a hot path
   for (int64_t v = 0; v < original.num_nodes(); ++v) {
     AppendEditsForNode(v, state, index, options, &edits);
-    for (const int64_t u : edits.add) editor.AddEdge(v, u);
-    for (const int64_t u : edits.remove) editor.RemoveEdge(v, u);
+    AppendEdgeEdits(v, edits, &edge_edits);
   }
-  return editor.Build();
+  return graph::ApplyEdgeEdits(original, edge_edits);
 }
 
 }  // namespace core

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "entropy/relative_entropy.h"
-#include "graph/graph_editor.h"
+#include "graph/graph.h"
 #include "core/topology_state.h"
 
 namespace graphrare {
@@ -52,6 +52,14 @@ void AppendEditsForNode(int64_t v, const TopologyState& state,
                         const entropy::RelativeEntropyIndex& index,
                         const TopologyOptimizerOptions& options,
                         NodeEdits* out);
+
+/// Appends node `v`'s slice to an edit list for graph::ApplyEdgeEdits: its
+/// additions, then its removals. Slices appended in ascending node order
+/// give the rule both rewiring paths use: the last edit of an edge wins,
+/// so a later node's slice overrides an earlier node's on a shared edge,
+/// and within one slice a removal overrides an addition.
+void AppendEdgeEdits(int64_t v, const NodeEdits& edits,
+                     std::vector<graph::EdgeEdit>* out);
 
 /// Materialises the optimized graph for a state. Deterministic. `original`,
 /// `state`, and `index` must share one id space (the full graph, or a

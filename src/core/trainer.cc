@@ -185,16 +185,21 @@ GraphRareTrainer::GraphRareTrainer(const data::Dataset* dataset,
 
 RewardInputs GraphRareTrainer::EvaluateForReward(
     nn::ClassifierTrainer* trainer, const graph::Graph& g,
-    const std::vector<int64_t>& train_idx) {
+    const data::Split& split, double* val_accuracy) {
+  std::vector<const std::vector<int64_t>*> idx_sets = {&split.train};
+  if (val_accuracy != nullptr) idx_sets.push_back(&split.val);
+  const bool auc = options_.reward.kind == RewardKind::kAuc;
+  tensor::Tensor logits;
+  const std::vector<nn::EvalResult> evals =
+      trainer->Evaluate(g, idx_sets, auc ? &logits : nullptr);
   RewardInputs out;
-  const nn::EvalResult eval = trainer->Evaluate(g, train_idx);
-  out.accuracy = eval.accuracy;
-  out.loss = eval.loss;
-  if (options_.reward.kind == RewardKind::kAuc) {
-    const tensor::Tensor logits = trainer->EvalLogits(g);
-    out.auc = nn::MacroAucOvr(logits, dataset_->labels, train_idx,
+  out.accuracy = evals[0].accuracy;
+  out.loss = evals[0].loss;
+  if (auc) {
+    out.auc = nn::MacroAucOvr(logits, dataset_->labels, split.train,
                               dataset_->num_classes);
   }
+  if (val_accuracy != nullptr) *val_accuracy = evals[1].accuracy;
   return out;
 }
 
@@ -243,7 +248,10 @@ GraphRareResult GraphRareTrainer::Run(const data::Split& split) {
   topo_opts.enable_add = options_.enable_add;
   topo_opts.enable_remove = options_.enable_remove;
 
-  RewardInputs prev = EvaluateForReward(&trainer, current, split.train);
+  // One evaluation forward per (weights, graph) pair feeds every metric
+  // taken on it: reward inputs, validation accuracy and AUC.
+  double val_acc = 0.0;
+  RewardInputs prev = EvaluateForReward(&trainer, current, split, &val_acc);
   // Algorithm 1 initialises max_acc = 0, so the first iteration always
   // fine-tunes regardless of pretraining.
   double max_train_acc = 0.0;
@@ -252,13 +260,14 @@ GraphRareResult GraphRareTrainer::Run(const data::Split& split) {
 
   std::vector<tensor::Tensor> best_weights = trainer.SaveWeights();
   result.best_graph = current;
-  result.best_val_accuracy =
-      trainer.Evaluate(current, split.val).accuracy;
+  result.best_val_accuracy = val_acc;
   double best_val = result.best_val_accuracy;
 
   for (int t = 0; t < options_.iterations; ++t) {
     // (line 9) Evaluate the GNN on the current graph, no parameter update.
-    RewardInputs curr = EvaluateForReward(&trainer, current, split.train);
+    // At t = 0 neither the weights nor the graph changed since `prev`.
+    RewardInputs curr = prev;
+    if (t > 0) curr = EvaluateForReward(&trainer, current, split, &val_acc);
 
     // (lines 10-13) Extra supervised epochs when the topology helped. The
     // gate is >= rather than >: once training accuracy saturates (common on
@@ -270,8 +279,7 @@ GraphRareResult GraphRareTrainer::Run(const data::Split& split) {
       double ft_best_val = -1.0;
       for (int e = 0; e < options_.finetune_epochs; ++e) {
         trainer.TrainEpoch(current, split.train);
-        const double val_acc =
-            trainer.Evaluate(current, split.val).accuracy;
+        val_acc = trainer.Evaluate(current, split.val).accuracy;
         if (val_acc > ft_best_val) {
           ft_best_val = val_acc;
           since_best = 0;
@@ -290,8 +298,9 @@ GraphRareResult GraphRareTrainer::Run(const data::Split& split) {
     result.homophily_history.push_back(
         current.EdgeHomophily(dataset_->labels));
 
-    // Model selection on validation accuracy (Sec. V-C protocol).
-    const double val_acc = trainer.Evaluate(current, split.val).accuracy;
+    // Model selection on validation accuracy (Sec. V-C protocol). val_acc
+    // is on the current weights: line 9's forward, or the finetune loop's
+    // last check when it ran.
     result.val_acc_history.push_back(val_acc);
     if (val_acc > best_val) {
       best_val = val_acc;
@@ -329,7 +338,7 @@ GraphRareResult GraphRareTrainer::Run(const data::Split& split) {
   // Close out the last pending PPO transition.
   if (agent && reward_pending) {
     const RewardInputs final_eval =
-        EvaluateForReward(&trainer, current, split.train);
+        EvaluateForReward(&trainer, current, split, nullptr);
     agent->StoreReward(ComputeReward(options_.reward, prev, final_eval));
   }
 

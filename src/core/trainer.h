@@ -231,9 +231,13 @@ class GraphRareTrainer {
   }
 
  private:
+  /// One evaluation forward on `g` with the trainer's current weights: the
+  /// reward inputs over split.train and, when `val_accuracy` is non-null,
+  /// the accuracy over split.val.
   RewardInputs EvaluateForReward(nn::ClassifierTrainer* trainer,
                                  const graph::Graph& g,
-                                 const std::vector<int64_t>& train_idx);
+                                 const data::Split& split,
+                                 double* val_accuracy);
 
   const data::Dataset* dataset_;
   GraphRareOptions options_;

@@ -239,6 +239,87 @@ int64_t Graph::CountConnectedComponents() const {
   return components;
 }
 
+namespace {
+
+/// One direction of an edit: entry `col` of adjacency row `row`.
+struct HalfEdit {
+  int64_t row;
+  int64_t col;
+  bool add;
+};
+
+/// Stable counting sort of `in` by key(h) in [0, n). `ptr` receives the
+/// bucket offsets (size n + 1).
+template <typename Key>
+std::vector<HalfEdit> BucketBy(const std::vector<HalfEdit>& in, int64_t n,
+                               Key key, std::vector<int64_t>* ptr) {
+  ptr->assign(static_cast<size_t>(n) + 1, 0);
+  for (const HalfEdit& h : in) ++(*ptr)[static_cast<size_t>(key(h)) + 1];
+  for (size_t i = 0; i < static_cast<size_t>(n); ++i) {
+    (*ptr)[i + 1] += (*ptr)[i];
+  }
+  std::vector<int64_t> cursor(ptr->begin(), ptr->end() - 1);
+  std::vector<HalfEdit> out(in.size());
+  for (const HalfEdit& h : in) {
+    out[static_cast<size_t>(cursor[static_cast<size_t>(key(h))]++)] = h;
+  }
+  return out;
+}
+
+}  // namespace
+
+Graph ApplyEdgeEdits(const Graph& base, const std::vector<EdgeEdit>& edits) {
+  const int64_t n = base.num_nodes();
+  // Both directions of every edit, in list order.
+  std::vector<HalfEdit> halves;
+  halves.reserve(2 * edits.size());
+  for (const EdgeEdit& e : edits) {
+    if (e.u == e.v) continue;
+    GR_CHECK(e.u >= 0 && e.u < n && e.v >= 0 && e.v < n)
+        << "ApplyEdgeEdits: edge (" << e.u << "," << e.v << ") outside [0,"
+        << n << ")";
+    halves.push_back({e.u, e.v, e.add});
+    halves.push_back({e.v, e.u, e.add});
+  }
+  // Bucketing by column and then, stably, by row leaves each row's edits
+  // ascending by column, with the edits of one edge still in list order.
+  std::vector<int64_t> ptr;
+  const std::vector<HalfEdit> by_col =
+      BucketBy(halves, n, [](const HalfEdit& h) { return h.col; }, &ptr);
+  const std::vector<HalfEdit> by_row =
+      BucketBy(by_col, n, [](const HalfEdit& h) { return h.row; }, &ptr);
+
+  Graph g;
+  g.num_nodes_ = n;
+  g.adj_row_ptr_.assign(static_cast<size_t>(n) + 1, 0);
+  g.adj_col_.reserve(base.adj_col_.size() + halves.size());
+  for (int64_t v = 0; v < n; ++v) {
+    const int64_t* b = base.NeighborsBegin(v);
+    const int64_t* b_end = base.NeighborsEnd(v);
+    size_t j = static_cast<size_t>(ptr[static_cast<size_t>(v)]);
+    const auto j_end = static_cast<size_t>(ptr[static_cast<size_t>(v) + 1]);
+    while (b != b_end || j < j_end) {
+      const int64_t c = j == j_end || (b != b_end && *b < by_row[j].col)
+                            ? *b
+                            : by_row[j].col;
+      bool present = b != b_end && *b == c;
+      if (present) ++b;
+      for (; j < j_end && by_row[j].col == c; ++j) present = by_row[j].add;
+      if (present) g.adj_col_.push_back(c);
+    }
+    g.adj_row_ptr_[static_cast<size_t>(v) + 1] =
+        static_cast<int64_t>(g.adj_col_.size());
+  }
+  g.edges_.reserve(g.adj_col_.size() / 2);
+  for (int64_t v = 0; v < n; ++v) {
+    for (const int64_t* c = g.NeighborsBegin(v); c != g.NeighborsEnd(v);
+         ++c) {
+      if (*c > v) g.edges_.emplace_back(v, *c);
+    }
+  }
+  return g;
+}
+
 void EdgeListDiff(const Graph& before, const Graph& after,
                   std::vector<Edge>* added, std::vector<Edge>* removed) {
   added->clear();

@@ -3,7 +3,7 @@
 // Immutable undirected graph topology. Construction canonicalises the edge
 // list (u < v, deduplicated, no self loops); derived operators used by the
 // GNN layers (normalised adjacency, 2-hop adjacency, ...) are built lazily
-// and cached. Rewiring never mutates a Graph — the GraphEditor produces a
+// and cached. Rewiring never mutates a Graph — ApplyEdgeEdits produces a
 // new one — so cached operators can be shared safely across training steps.
 
 #ifndef GRAPHRARE_GRAPH_GRAPH_H_
@@ -23,6 +23,14 @@ namespace graph {
 
 /// An undirected edge with canonical ordering (u <= v after normalisation).
 using Edge = std::pair<int64_t, int64_t>;
+
+/// One edit of the undirected edge {u, v}: after it, the edge is present
+/// (add) or absent (!add).
+struct EdgeEdit {
+  int64_t u;
+  int64_t v;
+  bool add;
+};
 
 /// Immutable undirected simple graph (no self loops, no multi-edges).
 class Graph {
@@ -84,6 +92,9 @@ class Graph {
   int64_t CountConnectedComponents() const;
 
  private:
+  friend Graph ApplyEdgeEdits(const Graph& base,
+                              const std::vector<EdgeEdit>& edits);
+
   void BuildCsr();
 
   int64_t num_nodes_;
@@ -97,6 +108,20 @@ class Graph {
   mutable std::shared_ptr<const tensor::CsrMatrix> two_hop_;
   mutable std::shared_ptr<const tensor::CsrMatrix> row_normalized_two_hop_;
 };
+
+/// Applies `edits` to `base` in list order and returns the edited graph;
+/// `base` is untouched. The last edit of an edge wins: an edge is present
+/// iff its last edit is an addition, and an edge no edit names keeps its
+/// base state. So removing a base edge and then adding it again leaves it
+/// present, and adding a new edge and then removing it leaves it absent.
+/// Edits in either direction ({u, v} or {v, u}) name the same edge;
+/// self-loop edits are ignored; any other endpoint outside
+/// [0, num_nodes) aborts.
+///
+/// Cost O(V + E + edits): the edits are bucketed by row with two stable
+/// counting passes and merged into the base CSR row by row, with no hash
+/// set and no sort.
+Graph ApplyEdgeEdits(const Graph& base, const std::vector<EdgeEdit>& edits);
 
 /// Sorted-merge diff of two graphs' canonical edge lists: `added` receives
 /// the edges present in `after` but not `before`, `removed` the reverse.

@@ -71,24 +71,29 @@ EvalResult ClassifierTrainer::TrainEpoch(
 
 EvalResult ClassifierTrainer::Evaluate(const graph::Graph& g,
                                        const std::vector<int64_t>& idx) {
-  GR_CHECK(!idx.empty());
-  ModelInputs inputs;
-  inputs.graph = &g;
-  inputs.features = features_;
-  Variable logits = model_->Logits(inputs, /*training=*/false, nullptr);
-  const std::vector<int64_t> y = SubsetLabels(*labels_, idx);
-  Variable loss = ops::CrossEntropy(logits.Detach(), idx, y);
-  EvalResult result;
-  result.loss = loss.value().scalar();
-  result.accuracy = Accuracy(logits.value(), *labels_, idx);
-  return result;
+  return Evaluate(g, {&idx}).front();
 }
 
-tensor::Tensor ClassifierTrainer::EvalLogits(const graph::Graph& g) {
+std::vector<EvalResult> ClassifierTrainer::Evaluate(
+    const graph::Graph& g,
+    const std::vector<const std::vector<int64_t>*>& idx_sets,
+    tensor::Tensor* logits) {
   ModelInputs inputs;
   inputs.graph = &g;
   inputs.features = features_;
-  return model_->Logits(inputs, /*training=*/false, nullptr).value();
+  const Variable out =
+      model_->Logits(inputs, /*training=*/false, nullptr).Detach();
+  std::vector<EvalResult> results;
+  for (const std::vector<int64_t>* idx : idx_sets) {
+    GR_CHECK(idx != nullptr && !idx->empty());
+    const std::vector<int64_t> y = SubsetLabels(*labels_, *idx);
+    EvalResult result;
+    result.loss = ops::CrossEntropy(out, *idx, y).value().scalar();
+    result.accuracy = Accuracy(out.value(), *labels_, *idx);
+    results.push_back(result);
+  }
+  if (logits != nullptr) *logits = out.value();
+  return results;
 }
 
 FitResult ClassifierTrainer::Fit(const graph::Graph& g,

@@ -57,8 +57,14 @@ class ClassifierTrainer {
   /// Evaluation (no dropout, no gradients) on `idx`.
   EvalResult Evaluate(const graph::Graph& g, const std::vector<int64_t>& idx);
 
-  /// Full logits in eval mode (for test metrics / AUC).
-  tensor::Tensor EvalLogits(const graph::Graph& g);
+  /// One evaluation forward scored on every index set in `idx_sets`, in
+  /// order; each result is bitwise what Evaluate(g, *set) returns. When
+  /// `logits` is non-null it receives the forward's full logits (for AUC),
+  /// so one forward feeds every metric of one (weights, graph) pair.
+  std::vector<EvalResult> Evaluate(
+      const graph::Graph& g,
+      const std::vector<const std::vector<int64_t>*>& idx_sets,
+      tensor::Tensor* logits = nullptr);
 
   /// Trains with early stopping on validation accuracy; restores the best
   /// weights before returning.

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/parallel.h"
+#include "tensor/vector_math.h"
 
 namespace graphrare {
 namespace tensor {
@@ -230,9 +231,16 @@ Variable Elu(const Variable& a, float alpha) {
 }
 
 Variable Tanh(const Variable& a) {
-  return UnaryElementwise(
-      a, [](float x) { return std::tanh(x); },
-      [](float, float y) { return 1.0f - y * y; });
+  Tensor out = a.value();
+  TanhInPlace(out.data(), out.numel());
+  return MakeOpNode(std::move(out), {a}, [](AutogradNode* n) {
+    if (!n->parents[0]->requires_grad) return;
+    const float* py = n->value.data();
+    Tensor d = n->grad;
+    float* pd = d.data();
+    for (int64_t i = 0; i < d.numel(); ++i) pd[i] *= 1.0f - py[i] * py[i];
+    Accumulate(n->parents[0], d);
+  });
 }
 
 Variable Sigmoid(const Variable& a) {

@@ -56,6 +56,7 @@ Variable SpMM(std::shared_ptr<const CsrMatrix> s, const Variable& x);
 
 Variable Relu(const Variable& a);
 Variable Elu(const Variable& a, float alpha = 1.0f);
+/// Forward through TanhInPlace: bitwise fdlibm tanhf on every host.
 Variable Tanh(const Variable& a);
 Variable Sigmoid(const Variable& a);
 Variable Exp(const Variable& a);

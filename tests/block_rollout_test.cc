@@ -3,7 +3,9 @@
 //  * RelativeEntropyIndex::Restrict remaps sequences into block-local id
 //    space exactly (drop-outside-block, order preserved, no recompute).
 //  * EditMerger resolves block overlap last-writer-wins per node and merges
-//    deterministically (block-order-invariant for disjoint blocks).
+//    deterministically (block-order-invariant for disjoint blocks), into
+//    exactly the graph the reference editor (graph_editor_reference.h)
+//    builds from the surviving per-node edits.
 //  * Full-graph mode is the B=1/full-fanout special case: a
 //    BlockTopologyEnv over the identity block reproduces the full-graph
 //    step written out from public calls (full_graph_reference.h) BITWISE
@@ -20,9 +22,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 #include "core/graphrare.h"
 #include "full_graph_reference.h"
+#include "graph_editor_reference.h"
 #include "test_support.h"
 
 namespace graphrare {
@@ -257,6 +261,76 @@ TEST(EditMergerTest, DisjointBlocksMergeOrderInvariant) {
   ba.RecordBlock(a, state_a, index.Restrict(a));
 
   EXPECT_EQ(ab.Merge(ds.graph).edges(), ba.Merge(ds.graph).edges());
+}
+
+TEST(EditMergerTest, OverlappingBlocksMatchReferenceEditor) {
+  data::Dataset ds = MakeSparseDataset(16);
+  const auto index = BuildIndex(ds);
+  data::SamplerOptions so;
+  so.fanouts = {4, 4};
+  so.seed = 11;
+  data::NeighborSampler sampler(&ds.graph, so);
+  Rng rng(31);
+
+  // Blocks around consecutive seed windows overlap through shared
+  // neighbourhoods. The reference keeps each node's last recorded slice
+  // and replays the slices in ascending node order through the editor.
+  EditMerger merger;
+  std::map<int64_t, NodeEdits> last_slice;
+  for (int b = 0; b < 6; ++b) {
+    std::vector<int64_t> seeds;
+    for (int64_t i = 0; i < 6; ++i) seeds.push_back((b * 4 + i * 13) % 160);
+    const graph::Subgraph block = sampler.SampleBlock(seeds);
+    const auto restricted = index.Restrict(block);
+    core::TopologyState state(block.num_nodes(), 4, 4);
+    state.SetRandom(4, 4, &rng);
+    merger.RecordBlock(block, state, restricted);
+    for (int64_t local = 0; local < block.num_nodes(); ++local) {
+      NodeEdits edits = core::EditsForNode(local, state, restricted);
+      for (int64_t& t : edits.add) t = block.nodes[static_cast<size_t>(t)];
+      for (int64_t& t : edits.remove) t = block.nodes[static_cast<size_t>(t)];
+      last_slice[block.nodes[static_cast<size_t>(local)]] = std::move(edits);
+    }
+  }
+  ASSERT_GT(merger.round_stats().conflict_nodes, 0);
+
+  // Self-loop edits are ignored by both.
+  NodeEdits self;
+  self.add = {5};
+  self.remove = {5};
+  merger.Record(5, self);
+  last_slice[5] = self;
+
+  testing_ref::ReferenceGraphEditor editor(&ds.graph);
+  for (const auto& [v, edits] : last_slice) {
+    for (const int64_t u : edits.add) editor.AddEdge(v, u);
+    for (const int64_t u : edits.remove) editor.RemoveEdge(v, u);
+  }
+  EXPECT_TRUE(testing_ref::SameGraph(merger.Merge(ds.graph), editor.Build()));
+}
+
+TEST(EditMergerTest, BaseEdgeRemovedThenReAddedStaysPresent) {
+  // Path 0-1-2: node 0's slice removes 0-1, node 1's slice adds it back.
+  // Node 1 is applied later, so its addition is the edge's last edit.
+  const graph::Graph g = graph::Graph::FromEdgeListOrDie(3, {{0, 1}, {1, 2}});
+  EditMerger merger;
+  NodeEdits drop;
+  drop.remove = {1};
+  merger.Record(0, drop);
+  NodeEdits re_add;
+  re_add.add = {0};
+  merger.Record(1, re_add);
+  EXPECT_EQ(merger.Merge(g).edges(), g.edges());
+
+  // The other way round the removal is last, and the edge goes.
+  EditMerger reversed;
+  NodeEdits add_first;
+  add_first.add = {1};
+  reversed.Record(0, add_first);
+  NodeEdits drop_last;
+  drop_last.remove = {0};
+  reversed.Record(1, drop_last);
+  EXPECT_FALSE(reversed.Merge(g).HasEdge(0, 1));
 }
 
 TEST(EditMergerTest, RecordBlockRemapsToGlobalIds) {

@@ -1,9 +1,13 @@
-// Core framework tests: topology state/optimizer, observations, reward,
-// option validation, rewiring baselines.
+// Core framework tests: topology state/optimizer (BuildOptimizedGraph
+// against the reference editor in graph_editor_reference.h), observations,
+// reward, option validation, rewiring baselines, and cross-commit pins of
+// Algorithm 1's output bytes.
 
 #include <gtest/gtest.h>
 
 #include "core/graphrare.h"
+#include "graph_editor_reference.h"
+#include "test_support.h"
 
 namespace graphrare {
 namespace core {
@@ -145,6 +149,80 @@ TEST(TopologyOptimizerTest, StateExceedingSequencesIsSafe) {
   s.SetUniform(1000, 1000);  // way beyond any sequence length
   graph::Graph g = BuildOptimizedGraph(ds.graph, s, index);
   EXPECT_EQ(g.num_nodes(), ds.num_nodes());
+}
+
+TEST(TopologyOptimizerTest, RandomStatesMatchReferenceEditor) {
+  Rng rng(37);
+  for (const uint64_t seed : {41u, 43u}) {
+    data::Dataset ds = TinyDataset(seed);
+    auto index = TinyIndex(ds);
+    for (int trial = 0; trial < 8; ++trial) {
+      TopologyState s(ds.num_nodes(), 6, 6);
+      s.SetRandom(6, 6, &rng);
+      for (const bool add : {true, false}) {
+        for (const bool remove : {true, false}) {
+          TopologyOptimizerOptions o;
+          o.enable_add = add;
+          o.enable_remove = remove;
+          EXPECT_TRUE(testing_ref::SameGraph(
+              BuildOptimizedGraph(ds.graph, s, index, o),
+              testing_ref::ReferenceBuildOptimizedGraph(ds.graph, s, index,
+                                                        o)))
+              << "seed " << seed << " trial " << trial;
+        }
+      }
+    }
+  }
+}
+
+TEST(TopologyOptimizerTest, StateBeyondSequencesMatchesReferenceEditor) {
+  data::Dataset ds = TinyDataset();
+  auto index = TinyIndex(ds);
+  TopologyState s(ds.num_nodes(), 1000, 1000);
+  s.SetUniform(1000, 1000);
+  EXPECT_TRUE(testing_ref::SameGraph(
+      BuildOptimizedGraph(ds.graph, s, index),
+      testing_ref::ReferenceBuildOptimizedGraph(ds.graph, s, index)));
+}
+
+TEST(TopologyOptimizerTest, RefreshedIndexMatchesReferenceEditor) {
+  // After an incremental refresh against a rewired G_1, node sequences no
+  // longer agree with G_0: remote entries can be G_0 edges and neighbour
+  // entries can be non-edges, so rewiring G_0 exercises the add-existing
+  // and remove-missing cases of the edit rule.
+  const data::Dataset ds = TinyDataset();
+  auto index = TinyIndex(ds);
+  Rng rng(53);
+  TopologyState s1(ds.num_nodes(), 4, 4);
+  s1.SetRandom(4, 4, &rng);
+  const graph::Graph g1 = BuildOptimizedGraph(ds.graph, s1, index);
+  std::vector<graph::Edge> added, removed;
+  graph::EdgeListDiff(ds.graph, g1, &added, &removed);
+  ASSERT_FALSE(added.empty());
+  ASSERT_FALSE(removed.empty());
+  index.ApplyEdits(added, removed);
+
+  int64_t stale = 0;  // sequence entries that disagree with G_0
+  for (int64_t v = 0; v < ds.num_nodes(); ++v) {
+    for (const auto& e : index.sequences(v).remote) {
+      stale += ds.graph.HasEdge(v, e.node) ? 1 : 0;
+    }
+    for (const auto& e : index.sequences(v).neighbors) {
+      stale += ds.graph.HasEdge(v, e.node) ? 0 : 1;
+    }
+  }
+  EXPECT_GT(stale, 0);
+
+  for (int trial = 0; trial < 8; ++trial) {
+    TopologyState s(ds.num_nodes(), 5, 5);
+    s.SetRandom(5, 5, &rng);
+    for (const graph::Graph* base : {&ds.graph, &g1}) {
+      EXPECT_TRUE(testing_ref::SameGraph(
+          BuildOptimizedGraph(*base, s, index),
+          testing_ref::ReferenceBuildOptimizedGraph(*base, s, index)))
+          << "trial " << trial;
+    }
+  }
 }
 
 // ---- Observation ---------------------------------------------------------------
@@ -316,6 +394,89 @@ TEST(SimpGcnStarTest, MixingWeightLearnable) {
                                 &ds.labels, {});
   for (int i = 0; i < 5; ++i) trainer.TrainEpoch(ds.graph, splits[0].train);
   EXPECT_NE(Theta(model), 0.0f);
+}
+
+// ---- Cross-commit pins -------------------------------------------------------
+
+/// Algorithm 1 on TinyDataset with a short pretrain, so the finetune gate
+/// (curr.accuracy >= max_train_acc) both fires and skips within the run,
+/// and PPO updates twice.
+GraphRareResult PinnedRun(RewardKind reward) {
+  const data::Dataset ds = TinyDataset();
+  data::SplitOptions so;
+  so.num_splits = 1;
+  const auto splits = data::MakeSplits(ds.labels, ds.num_classes, so);
+  GraphRareOptions o;
+  o.hidden = 16;
+  o.iterations = 8;
+  o.pretrain_epochs = 6;
+  o.finetune_epochs = 4;
+  o.ppo.steps_per_update = 3;
+  o.ppo.update_epochs = 2;
+  o.reward.kind = reward;
+  o.seed = 29;
+  GraphRareTrainer trainer(&ds, o);
+  return trainer.Run(splits[0]);
+}
+
+std::string ResultDigest(const GraphRareResult& r) {
+  testing_ref::BitDigest d;
+  d.AddDoubles(r.reward_history);
+  d.AddDoubles(r.train_acc_history);
+  d.AddDoubles(r.val_acc_history);
+  d.AddDoubles(r.homophily_history);
+  d.AddEdges(r.best_graph.edges());
+  d.AddDouble(r.best_val_accuracy);
+  d.AddDouble(r.test_accuracy);
+  d.AddDouble(r.final_homophily);
+  for (const auto& [name, t] : r.model->StateDict()) {
+    d.AddBytes(name.data(), name.size());
+    d.AddTensor(t);
+  }
+  return d.Hex();
+}
+
+/// Replays the finetune gate over the train-accuracy history: {fired,
+/// skipped} iteration counts.
+std::pair<int, int> GateCounts(const GraphRareResult& r) {
+  double max_acc = 0.0;
+  int fired = 0;
+  for (const double acc : r.train_acc_history) {
+    if (acc >= max_acc) {
+      max_acc = acc;
+      ++fired;
+    }
+  }
+  return {fired, static_cast<int>(r.train_acc_history.size()) - fired};
+}
+
+// Histories, the selected graph, test accuracy and the final weights of
+// a seeded Algorithm 1 run, hashed bit for bit and compared against values
+// recorded at an earlier commit: a change that claims the same bytes must
+// reproduce them. As in rl_test's pin, builds that may fuse multiply-adds
+// outside src/tensor and builds that cannot have one value each.
+#if GRAPHRARE_TEST_FMA_CONTRACTS
+constexpr char kAccLossDigest[] = "42f0cdb20d833a8e";
+constexpr char kAucDigest[] = "8782202e20e10fe1";
+#else
+constexpr char kAccLossDigest[] = "af58d135e0572088";
+constexpr char kAucDigest[] = "44df8632373ee7cf";
+#endif
+
+TEST(GraphRarePinTest, AccLossRewardRunIsPinned) {
+  const GraphRareResult r = PinnedRun(RewardKind::kAccLoss);
+  const auto [fired, skipped] = GateCounts(r);
+  EXPECT_GT(fired, 0);
+  EXPECT_GT(skipped, 0);
+  EXPECT_EQ(ResultDigest(r), kAccLossDigest);
+}
+
+TEST(GraphRarePinTest, AucRewardRunIsPinned) {
+  const GraphRareResult r = PinnedRun(RewardKind::kAuc);
+  const auto [fired, skipped] = GateCounts(r);
+  EXPECT_GT(fired, 0);
+  EXPECT_GT(skipped, 0);
+  EXPECT_EQ(ResultDigest(r), kAucDigest);
 }
 
 // ---- Bench helpers -------------------------------------------------------------------

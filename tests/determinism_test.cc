@@ -58,7 +58,9 @@ TEST(DeterminismTest, BaselineFitIdenticalAcrossRuns) {
                                   nn::LayerInput::Sparse(ds.FeaturesCsr()),
                                   &ds.labels, to);
     trainer.Fit(ds.graph, splits[0].train, splits[0].val, 30, 10);
-    return trainer.EvalLogits(ds.graph);
+    tensor::Tensor logits;
+    trainer.Evaluate(ds.graph, {}, &logits);
+    return logits;
   };
   EXPECT_TRUE(AllClose(run_once(), run_once(), 0.0f, 0.0f));
 }

@@ -1,5 +1,6 @@
 // Graph topology tests: canonicalisation, derived operators, homophily,
-// k-hop, editing.
+// k-hop, edge editing (ApplyEdgeEdits against the reference editor in
+// tests/graph_editor_reference.h).
 
 #include "graph/graph.h"
 
@@ -11,8 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "graph/graph_editor.h"
 #include "graph/reorder.h"
+#include "graph_editor_reference.h"
 #include "test_support.h"
 
 namespace graphrare {
@@ -160,63 +161,101 @@ TEST(GraphTest, ConnectedComponents) {
   EXPECT_EQ(g.CountConnectedComponents(), 3);  // {0,1,2}, {3,4}, {5}
 }
 
-// ---- GraphEditor ----------------------------------------------------------
+// ---- ApplyEdgeEdits -------------------------------------------------------
 
-TEST(GraphEditorTest, AddEdge) {
+TEST(ApplyEdgeEditsTest, AddEdge) {
   Graph g = Square();
-  GraphEditor editor(&g);
-  EXPECT_TRUE(editor.AddEdge(1, 3));
-  Graph g2 = editor.Build();
+  Graph g2 = ApplyEdgeEdits(g, {{1, 3, true}});
   EXPECT_TRUE(g2.HasEdge(1, 3));
   EXPECT_EQ(g2.num_edges(), 6);
   // Original untouched.
   EXPECT_FALSE(g.HasEdge(1, 3));
 }
 
-TEST(GraphEditorTest, AddExistingEdgeIsNoop) {
+TEST(ApplyEdgeEditsTest, AddExistingEdgeIsNoop) {
   Graph g = Square();
-  GraphEditor editor(&g);
-  EXPECT_FALSE(editor.AddEdge(0, 1));
-  EXPECT_EQ(editor.Build().num_edges(), 5);
+  EXPECT_EQ(ApplyEdgeEdits(g, {{0, 1, true}}).edges(), g.edges());
 }
 
-TEST(GraphEditorTest, RemoveEdge) {
+TEST(ApplyEdgeEditsTest, RemoveEdge) {
   Graph g = Square();
-  GraphEditor editor(&g);
-  EXPECT_TRUE(editor.RemoveEdge(0, 2));
-  Graph g2 = editor.Build();
+  Graph g2 = ApplyEdgeEdits(g, {{0, 2, false}});
   EXPECT_FALSE(g2.HasEdge(0, 2));
   EXPECT_EQ(g2.num_edges(), 4);
 }
 
-TEST(GraphEditorTest, RemoveMissingEdgeIsNoop) {
+TEST(ApplyEdgeEditsTest, RemoveMissingEdgeIsNoop) {
   Graph g = Square();
-  GraphEditor editor(&g);
-  EXPECT_FALSE(editor.RemoveEdge(1, 3));
-  EXPECT_EQ(editor.Build().num_edges(), 5);
+  EXPECT_EQ(ApplyEdgeEdits(g, {{1, 3, false}}).edges(), g.edges());
 }
 
-TEST(GraphEditorTest, RemoveWinsOverAdd) {
+TEST(ApplyEdgeEditsTest, RemoveAfterAddLeavesNewEdgeAbsent) {
   Graph g = Square();
-  GraphEditor editor(&g);
-  editor.AddEdge(1, 3);
-  editor.RemoveEdge(1, 3);  // unqueues the addition
-  EXPECT_FALSE(editor.Build().HasEdge(1, 3));
+  EXPECT_FALSE(ApplyEdgeEdits(g, {{1, 3, true}, {1, 3, false}}).HasEdge(1, 3));
 }
 
-TEST(GraphEditorTest, SelfLoopIgnored) {
+TEST(ApplyEdgeEditsTest, ReAddAfterRemoveLeavesBaseEdgePresent) {
+  // The last edit wins for base edges too: a removed base edge that is
+  // added again (here from the other endpoint) stays.
   Graph g = Square();
-  GraphEditor editor(&g);
-  EXPECT_FALSE(editor.AddEdge(2, 2));
-  EXPECT_EQ(editor.Build().num_edges(), 5);
+  Graph g2 = ApplyEdgeEdits(g, {{0, 2, false}, {2, 0, true}});
+  EXPECT_EQ(g2.edges(), g.edges());
+  EXPECT_FALSE(ApplyEdgeEdits(g, {{0, 2, false}, {2, 0, true}, {0, 2, false}})
+                   .HasEdge(0, 2));
 }
 
-TEST(GraphEditorTest, DirectionAgnostic) {
+TEST(ApplyEdgeEditsTest, SelfLoopIgnored) {
   Graph g = Square();
-  GraphEditor editor(&g);
-  EXPECT_TRUE(editor.AddEdge(3, 1));
-  EXPECT_FALSE(editor.AddEdge(1, 3));  // same undirected edge
-  EXPECT_EQ(editor.num_pending_additions(), 1);
+  EXPECT_EQ(ApplyEdgeEdits(g, {{2, 2, true}, {1, 1, false}}).edges(),
+            g.edges());
+}
+
+TEST(ApplyEdgeEditsTest, DirectionAgnostic) {
+  Graph g = Square();
+  Graph g2 = ApplyEdgeEdits(g, {{3, 1, true}, {1, 3, true}});
+  EXPECT_EQ(g2.num_edges(), 6);  // one undirected edge added
+  EXPECT_TRUE(g2.HasEdge(1, 3));
+  EXPECT_TRUE(g2.HasEdge(3, 1));
+  EXPECT_EQ(g2.Degree(1), 3);
+  EXPECT_EQ(g2.Degree(3), 3);
+}
+
+TEST(ApplyEdgeEditsDeathTest, EndpointOutOfRangeAborts) {
+  Graph g = Square();
+  EXPECT_DEATH(ApplyEdgeEdits(g, {{0, 4, true}}), "outside");
+  EXPECT_DEATH(ApplyEdgeEdits(g, {{-1, 2, false}}), "outside");
+}
+
+TEST(ApplyEdgeEditsTest, RandomEditListsMatchReferenceEditor) {
+  // Random graphs and random edit lists, dense enough that many edges are
+  // edited several times from both endpoints, with self loops mixed in.
+  Rng rng(97);
+  auto pick = [&rng](int64_t k) {  // uniform in [0, k)
+    return static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(k)));
+  };
+  for (int trial = 0; trial < 40; ++trial) {
+    const int64_t n = 1 + pick(40);
+    std::vector<Edge> base_edges;
+    const int64_t m = pick(2 * n + 1);
+    for (int64_t i = 0; i < m; ++i) base_edges.emplace_back(pick(n), pick(n));
+    const Graph base = Graph::FromEdgeListOrDie(n, base_edges);
+    std::vector<EdgeEdit> edits;
+    const int64_t num_edits = pick(4 * n);
+    for (int64_t i = 0; i < num_edits; ++i) {
+      edits.push_back({pick(n), pick(n), rng.Bernoulli(0.5)});
+    }
+    EXPECT_TRUE(testing_ref::SameGraph(
+        ApplyEdgeEdits(base, edits),
+        testing_ref::ReferenceApplyEdgeEdits(base, edits)))
+        << "trial " << trial;
+  }
+}
+
+TEST(ApplyEdgeEditsTest, EmptyGraphAndEmptyEdits) {
+  const Graph empty = Graph::FromEdgeListOrDie(0, {});
+  EXPECT_EQ(ApplyEdgeEdits(empty, {}).num_nodes(), 0);
+  const Graph g = Square();
+  EXPECT_TRUE(testing_ref::SameGraph(ApplyEdgeEdits(g, {}), g));
 }
 
 // ----------------------------------------------------------------- reorder

@@ -12,6 +12,9 @@
 //   * The fused ops (AddBiasRelu, LogSoftmaxNll behind CrossEntropy) match
 //     their unfused chains and pass numeric grad checks.
 //   * The tensor buffer pool recycles buffers without aliasing live data.
+//   * The owned vector tanh (TanhInPlace, behind ops::Tanh) is bitwise the
+//     scalar fdlibm transcription in tests/tanh_reference.h and within
+//     2.5 ULP of double-precision tanh.
 //
 // "Exact" comparisons use float equality (== treats +0 and -0 as equal,
 // which is the one place the zero-skip in the naive path may differ).
@@ -19,13 +22,16 @@
 #include "tensor/tensor.h"
 
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tanh_reference.h"
 #include "tensor/ops.h"
 #include "tensor/sparse.h"
+#include "tensor/vector_math.h"
 #include "test_support.h"
 
 #ifdef _OPENMP
@@ -704,6 +710,125 @@ TEST(ThreadInvariance, FusedGatForward) {
       "fused GAT forward+backward");
 }
 #endif  // _OPENMP
+
+// --------------------------------------------------------------- vector tanh
+
+using ref::BitsFloat;
+using ref::FloatBits;
+
+/// Inputs around every branch point of tanhf and of the expm1f calls it
+/// makes, plus the special values: +-0, subnormals, +-inf, quiet and
+/// signalling NaNs with assorted payloads.
+std::vector<uint32_t> TanhEdgeBits() {
+  std::vector<uint32_t> edges = {
+      0x00000000, 0x00000001, 0x00000002, 0x000fffff, 0x00400000,
+      0x007ffffe, 0x007fffff, 0x00800000, 0x00800001,  // subnormal / normal
+      0x24000000, 0x23ffffff, 0x24000001,              // 2^-55
+      0x3f800000, 0x3f7fffff, 0x3f800001,              // 1
+      0x41b00000, 0x41afffff, 0x41b00001,              // 22
+      0x32800000, 0x327fffff, 0x32800001,   // |2x| = 2^-25 (expm1f tiny cut)
+      0x3e317218, 0x3e317217, 0x3e317219,   // |2x| = 0.5 ln2 (k = 0 / +-1)
+      0x3f051592, 0x3f051591, 0x3f051593,   // |2x| = 1.5 ln2 (k = +-1 / round)
+      0x3f7ffffe, 0x3f000000, 0x3e800000, 0x3fc00000, 0x40000000,
+      0x40a00000, 0x41000000, 0x41800000, 0x41a80000,
+      0x7f7fffff, 0x7f800000,                           // max finite, inf
+      0x7f800001, 0x7fbfffff, 0x7fc00000, 0x7fc00001,   // sNaN, qNaN
+      0x7fd23456, 0x7fffffff, 0x7fa5a5a5,
+  };
+  const size_t positive = edges.size();
+  for (size_t i = 0; i < positive; ++i) edges.push_back(edges[i] | 0x80000000u);
+  return edges;
+}
+
+/// A stride through all 2^32 bit patterns (every sign, exponent and NaN
+/// payload region) plus a dense linear sweep of [-24, 24].
+std::vector<uint32_t> TanhSweepBits() {
+  std::vector<uint32_t> bits;
+  for (uint64_t u = 0; u < (uint64_t{1} << 32); u += 1031) {
+    bits.push_back(static_cast<uint32_t>(u));
+  }
+  for (int i = -240000; i <= 240000; ++i) {
+    bits.push_back(FloatBits(static_cast<float>(i) * 1.0e-4f));
+  }
+  return bits;
+}
+
+/// Runs TanhInPlace over `bits` and reports every lane whose result bits
+/// differ from the scalar reference.
+void ExpectTanhMatchesReference(const std::vector<uint32_t>& bits) {
+  std::vector<float> x(bits.size());
+  for (size_t i = 0; i < bits.size(); ++i) x[i] = BitsFloat(bits[i]);
+  TanhInPlace(x.data(), static_cast<int64_t>(x.size()));
+  int reported = 0;
+  for (size_t i = 0; i < bits.size(); ++i) {
+    const uint32_t want = FloatBits(ref::TanhfReference(BitsFloat(bits[i])));
+    if (FloatBits(x[i]) != want && reported++ < 10) {
+      ADD_FAILURE() << std::hex << "tanh(0x" << bits[i] << ") = 0x"
+                    << FloatBits(x[i]) << ", reference 0x" << want;
+    }
+  }
+}
+
+TEST(VectorTanhTest, EdgeValuesMatchReferenceBitwise) {
+  ExpectTanhMatchesReference(TanhEdgeBits());
+}
+
+TEST(VectorTanhTest, SweepMatchesReferenceBitwise) {
+  ExpectTanhMatchesReference(TanhSweepBits());
+}
+
+TEST(VectorTanhTest, EveryTailLengthMatchesAndStaysInBounds) {
+  // Lengths 0-7 run the tail path alone, 8-15 a full vector plus a tail.
+  // The sentinel after the range must come back untouched.
+  const std::vector<uint32_t> edges = TanhEdgeBits();
+  for (int64_t n = 0; n < 16; ++n) {
+    for (size_t start = 0; start + static_cast<size_t>(n) <= edges.size();
+         start += 7) {
+      std::vector<float> x(static_cast<size_t>(n) + 1);
+      for (int64_t i = 0; i < n; ++i) {
+        x[static_cast<size_t>(i)] = BitsFloat(edges[start + i]);
+      }
+      x.back() = 123.0f;
+      TanhInPlace(x.data(), n);
+      for (int64_t i = 0; i < n; ++i) {
+        EXPECT_EQ(FloatBits(x[static_cast<size_t>(i)]),
+                  FloatBits(ref::TanhfReference(BitsFloat(edges[start + i]))))
+            << "n=" << n << " lane " << i;
+      }
+      EXPECT_EQ(x.back(), 123.0f) << "n=" << n;
+    }
+  }
+}
+
+TEST(VectorTanhTest, WithinTwoAndAHalfUlpOfDoubleTanh) {
+  double worst = 0.0;
+  uint32_t worst_bits = 0;
+  for (const uint32_t b : TanhSweepBits()) {
+    const float xf = BitsFloat(b);
+    if (!std::isfinite(xf)) continue;
+    float y = xf;
+    TanhInPlace(&y, 1);
+    const double err = ref::UlpError(y, std::tanh(static_cast<double>(xf)));
+    if (err > worst) {
+      worst = err;
+      worst_bits = b;
+    }
+  }
+  EXPECT_LE(worst, 2.5) << std::hex << "at x = 0x" << worst_bits;
+}
+
+TEST(VectorTanhTest, OpsTanhForwardAndGradient) {
+  Rng rng(83);
+  const Tensor x_val = Tensor::Rand(37, 11, &rng, -6.0f, 6.0f);
+  Variable x(x_val, /*requires_grad=*/true);
+  Variable y = ops::Tanh(x);
+  ops::SumAll(y).Backward();
+  for (int64_t i = 0; i < x_val.numel(); ++i) {
+    const float want = ref::TanhfReference(x_val.data()[i]);
+    EXPECT_EQ(FloatBits(y.value().data()[i]), FloatBits(want));
+    EXPECT_EQ(x.grad().data()[i], 1.0f - want * want);
+  }
+}
 
 }  // namespace
 }  // namespace tensor

@@ -375,6 +375,37 @@ TEST(TrainerTest, FitImprovesOverInit) {
   EXPECT_GE(after.accuracy, before.accuracy);
 }
 
+/// Eval-mode logits through the multi-set Evaluate with no index set.
+Tensor EvalLogits(ClassifierTrainer* trainer, const graph::Graph& g) {
+  Tensor logits;
+  trainer->Evaluate(g, {}, &logits);
+  return logits;
+}
+
+TEST(TrainerTest, MultiSetEvaluateMatchesSeparateCalls) {
+  graph::Graph g = TestGraph();
+  Rng xr(25);
+  Tensor x = Tensor::Rand(6, 8, &xr);
+  std::vector<int64_t> labels = {0, 1, 2, 0, 1, 2};
+  auto model = MakeModel(BackboneKind::kGcn, SmallModelOptions());
+  ClassifierTrainer trainer(model.get(),
+                            LayerInput::Dense(Variable(x, false)), &labels,
+                            {});
+  trainer.TrainEpoch(g, {0, 1, 2, 3});
+  const std::vector<int64_t> a = {0, 2, 4};
+  const std::vector<int64_t> b = {5, 1};
+  Tensor logits;
+  const std::vector<EvalResult> both = trainer.Evaluate(g, {&a, &b}, &logits);
+  ASSERT_EQ(both.size(), 2u);
+  const EvalResult ea = trainer.Evaluate(g, a);
+  const EvalResult eb = trainer.Evaluate(g, b);
+  EXPECT_EQ(both[0].loss, ea.loss);
+  EXPECT_EQ(both[0].accuracy, ea.accuracy);
+  EXPECT_EQ(both[1].loss, eb.loss);
+  EXPECT_EQ(both[1].accuracy, eb.accuracy);
+  EXPECT_TRUE(AllClose(logits, EvalLogits(&trainer, g), 0.0f, 0.0f));
+}
+
 TEST(TrainerTest, SaveLoadWeightsRoundTrip) {
   graph::Graph g = TestGraph();
   Rng xr(24);
@@ -385,11 +416,11 @@ TEST(TrainerTest, SaveLoadWeightsRoundTrip) {
                             LayerInput::Dense(Variable(x, false)), &labels,
                             {});
   const auto saved = trainer.SaveWeights();
-  const Tensor logits_before = trainer.EvalLogits(g);
+  const Tensor logits_before = EvalLogits(&trainer, g);
   trainer.TrainEpoch(g, {0, 1, 2, 3});
-  EXPECT_FALSE(AllClose(trainer.EvalLogits(g), logits_before));
+  EXPECT_FALSE(AllClose(EvalLogits(&trainer, g), logits_before));
   trainer.LoadWeights(saved);
-  EXPECT_TRUE(AllClose(trainer.EvalLogits(g), logits_before));
+  EXPECT_TRUE(AllClose(EvalLogits(&trainer, g), logits_before));
 }
 
 TEST(TrainerTest, EarlyStoppingStopsBeforeMaxEpochs) {

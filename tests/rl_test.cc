@@ -5,6 +5,8 @@
 
 #include "rl/env.h"
 #include "rl/ppo.h"
+#include "tensor/ops.h"
+#include "test_support.h"
 
 namespace graphrare {
 namespace rl {
@@ -88,6 +90,59 @@ TEST(PpoAgentTest, DeterministicForSeed) {
   const ActionSample sb = b.Act(obs);
   EXPECT_EQ(sa.delta_k, sb.delta_k);
   EXPECT_EQ(sa.delta_d, sb.delta_d);
+}
+
+// ---- Cross-commit pin ---------------------------------------------------------
+
+// The co-training digests hash outcomes (rewards, accuracies, graphs), and a
+// short run samples the same actions under a small change to the policy's
+// arithmetic, so they cannot see one. This pin hashes the arithmetic
+// itself over a fixed rollout of two PPO updates: each step's per-node
+// joint log-probability of the sampled action (log-softmax of both heads,
+// summed in float as PpoAgent stores it), the state value, and the final
+// StateDict. Observations span [-8, 8) so the tanh trunk sees inputs on
+// both sides of its 1.0 cut-off and into saturation. Builds that may fuse
+// multiply-adds outside src/tensor and builds that cannot have one
+// recorded value each (see GRAPHRARE_TEST_FMA_CONTRACTS).
+#if GRAPHRARE_TEST_FMA_CONTRACTS
+constexpr char kRolloutDigest[] = "fb19eb9911cb849e";
+#else
+constexpr char kRolloutDigest[] = "87a52e4ba5bdd63b";
+#endif
+
+TEST(PpoAgentPinTest, TwoUpdateRolloutBytesArePinned) {
+  PpoOptions opts;
+  opts.seed = 19;
+  opts.steps_per_update = 3;
+  opts.update_epochs = 2;
+  PpoAgent agent(5, opts);
+  Rng rng(23);
+  testing_ref::BitDigest digest;
+  for (int step = 0; step < 2 * opts.steps_per_update; ++step) {
+    const Tensor obs = Tensor::Rand(40, 5, &rng, -8.0f, 8.0f);
+    const tensor::Variable in(obs, false);
+    const PolicyOutput out = agent.policy().Forward(in);
+    const Tensor lk = tensor::ops::LogSoftmaxRows(out.k_logits).value();
+    const Tensor ld = tensor::ops::LogSoftmaxRows(out.d_logits).value();
+    const ActionSample a = agent.Act(obs);
+    double reward = 0.0;
+    for (size_t v = 0; v < a.delta_k.size(); ++v) {
+      const auto r = static_cast<int64_t>(v);
+      digest.AddFloat(lk.row(r)[a.delta_k[v] + 1] + ld.row(r)[a.delta_d[v] + 1]);
+      reward += a.delta_k[v] - 0.5 * a.delta_d[v];
+    }
+    digest.AddFloat(out.value.value().scalar());
+    agent.StoreReward(reward / static_cast<double>(a.delta_k.size()));
+    if (agent.ReadyToUpdate()) {
+      digest.AddDouble(agent.Update(Tensor::Rand(40, 5, &rng, -8.0f, 8.0f)));
+    }
+  }
+  ASSERT_EQ(agent.num_updates(), 2);
+  for (const auto& [name, t] : agent.policy().StateDict()) {
+    digest.AddBytes(name.data(), name.size());
+    digest.AddTensor(t);
+  }
+  EXPECT_EQ(digest.Hex(), kRolloutDigest);
 }
 
 // ---- Learning sanity: a bandit where +1 on channel k is always best. -------

@@ -13,7 +13,9 @@
 #define GRAPHRARE_TESTS_TEST_SUPPORT_H_
 
 #include <cstdint>
+#include <cstdio>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "graph/graph.h"
@@ -91,6 +93,62 @@ float At(const tensor::CsrMatrix& m, int64_t r, int64_t c);
 /// ascending.
 std::vector<int64_t> KHopNeighbors(const graph::Graph& g, int64_t v,
                                    int max_hops);
+
+// -- Cross-commit pins -----------------------------------------------------
+
+// 1 when the compiler may fuse a multiply and an add into one FMA in code
+// outside src/tensor (which compiles with -ffp-contract=off): GCC contracts
+// only when optimizing, for targets with FMA (-march=native on x86-64).
+// Such builds round co-training arithmetic differently from builds that
+// cannot fuse, so a pin records one value for each.
+#if defined(__FMA__) && defined(__OPTIMIZE__)
+#define GRAPHRARE_TEST_FMA_CONTRACTS 1
+#else
+#define GRAPHRARE_TEST_FMA_CONTRACTS 0
+#endif
+
+/// FNV-1a 64 over the exact bits of what a test feeds it. A pin test
+/// compares Hex() against a value recorded at an earlier commit, so the
+/// same bytes must come out of every later commit that claims to keep
+/// them; a change that alters them on purpose updates the value and says
+/// so.
+class BitDigest {
+ public:
+  void AddBytes(const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h_ = (h_ ^ p[i]) * 0x100000001b3ULL;
+    }
+  }
+  void AddU64(uint64_t v) { AddBytes(&v, sizeof(v)); }
+  void AddFloat(float v) { AddBytes(&v, sizeof(v)); }
+  void AddDouble(double v) { AddBytes(&v, sizeof(v)); }
+  void AddDoubles(const std::vector<double>& v) {
+    AddU64(v.size());
+    for (const double x : v) AddDouble(x);
+  }
+  void AddTensor(const tensor::Tensor& t) {
+    AddU64(static_cast<uint64_t>(t.rows()));
+    AddU64(static_cast<uint64_t>(t.cols()));
+    AddBytes(t.data(), static_cast<size_t>(t.numel()) * sizeof(float));
+  }
+  void AddEdges(const std::vector<graph::Edge>& edges) {
+    AddU64(edges.size());
+    for (const auto& [u, v] : edges) {
+      AddU64(static_cast<uint64_t>(u));
+      AddU64(static_cast<uint64_t>(v));
+    }
+  }
+  std::string Hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(h_));
+    return buf;
+  }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ULL;
+};
 
 }  // namespace testing_ref
 }  // namespace graphrare
