@@ -35,21 +35,6 @@ Status PpoOptions::Validate() const {
 
 namespace {
 
-/// Row-wise stable log-softmax at value level (sampling path, no autograd).
-void RowLogSoftmax(const Tensor& logits, Tensor* out) {
-  *out = Tensor(logits.rows(), logits.cols());
-  for (int64_t r = 0; r < logits.rows(); ++r) {
-    const float* pl = logits.row(r);
-    float* po = out->row(r);
-    float mx = pl[0];
-    for (int64_t c = 1; c < logits.cols(); ++c) mx = std::max(mx, pl[c]);
-    double lse = 0.0;
-    for (int64_t c = 0; c < logits.cols(); ++c) lse += std::exp(pl[c] - mx);
-    const float log_z = mx + static_cast<float>(std::log(lse));
-    for (int64_t c = 0; c < logits.cols(); ++c) po[c] = pl[c] - log_z;
-  }
-}
-
 /// Samples one categorical choice per row from log-probabilities.
 void SampleRows(const Tensor& logp, Rng* rng, std::vector<int64_t>* choices) {
   choices->clear();
@@ -97,9 +82,8 @@ ActionSample PpoAgent::Act(const Tensor& obs) {
   Variable obs_var(obs, /*requires_grad=*/false);
   PolicyOutput out = policy_->Forward(obs_var);
 
-  Tensor k_logp, d_logp;
-  RowLogSoftmax(out.k_logits.value(), &k_logp);
-  RowLogSoftmax(out.d_logits.value(), &d_logp);
+  const Tensor k_logp = ops::LogSoftmaxRows(out.k_logits).value();
+  const Tensor d_logp = ops::LogSoftmaxRows(out.d_logits).value();
 
   Transition t;
   t.obs = obs;
@@ -163,7 +147,7 @@ double PpoAgent::Update(const Tensor& last_value_obs) {
   std::vector<double> advantages, returns;
   ComputeAdvantages(last_value, &advantages, &returns);
 
-  if (options_.normalize_advantage && advantages.size() > 1) {
+  if (advantages.size() > 1) {
     double mean = 0.0;
     for (double a : advantages) mean += a;
     mean /= static_cast<double>(advantages.size());

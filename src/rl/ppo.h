@@ -35,7 +35,6 @@ struct PpoOptions {
   int update_epochs = 4;
   /// Steps collected between updates (rollout length).
   int steps_per_update = 8;
-  bool normalize_advantage = true;
   /// false: per-node factorised ratios (default, numerically robust).
   /// true: one joint ratio per step (strict SB3 MultiDiscrete semantics).
   bool joint_ratio = false;

@@ -14,8 +14,8 @@ namespace {
 // Same generic vector idiom as the GEMM micro-kernel in tensor.cc: lanes
 // are independent output features, loads/stores go through memcpy so
 // vector values never cross a function boundary (no -Wpsabi on non-AVX
-// builds), and -ffp-contract=off keeps mul+add unfused, matching the
-// scalar loop bit for bit.
+// builds), and the project-wide -ffp-contract=off keeps mul+add unfused,
+// matching the scalar loop bit for bit.
 typedef float V8f __attribute__((vector_size(32)));
 
 inline V8f LoadV8(const float* p) {

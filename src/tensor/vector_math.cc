@@ -9,8 +9,8 @@ namespace {
 
 // Same generic vector idiom as tensor.cc and sparse.cc: values live in
 // registers inside one function and cross memory through memcpy, and the
-// module's -ffp-contract=off keeps every multiply and add rounded on its
-// own, as in the scalar routine. Comparisons yield all-ones/all-zero V8i
+// project-wide -ffp-contract=off keeps every multiply and add rounded on
+// its own, as in the scalar routine. Comparisons yield all-ones/all-zero V8i
 // lane masks, and `mask ? a : b` selects per lane: each branch of the
 // scalar code is computed for all eight lanes and the lane's own branch is
 // kept. Bit patterns are handled as V8u, so adding k << 23 to an exponent

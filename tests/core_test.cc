@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/graphrare.h"
 #include "graph_editor_reference.h"
 #include "test_support.h"
@@ -279,6 +281,33 @@ TEST(RewardTest, AccLossNegativeWhenWorse) {
   EXPECT_LT(ComputeReward(opts, prev, curr), 0.0);
 }
 
+// Eq. 11 has the shape of a fused multiply-add. Every project target
+// compiles with -ffp-contract=off, so the reward rounds the product and then
+// the sum in every build; an optimizing build for an FMA target would
+// otherwise fuse them into one rounding and give other bytes.
+TEST(RewardTest, AccLossRoundsEachOperationOnce) {
+  // Searches for inputs on which one rounding and two disagree. The unfused
+  // sum goes through volatile intermediates, so the compiler cannot fuse
+  // the test's own arithmetic, and the inputs reach ComputeReward through
+  // volatile reads, so its product shares no value with the search.
+  volatile double acc = 0.0, loss = 0.0, lambda = 0.0, unfused = 0.0;
+  bool discriminates = false;
+  for (int i = 1; i <= 64 && !discriminates; ++i) {
+    acc = 1.0 / 3.0;
+    loss = 1.0 / (2.0 + i);
+    lambda = 1.0 + 1.0 / i;
+    volatile double product = lambda * loss;
+    unfused = acc + product;
+    discriminates = std::fma(lambda, loss, acc) != unfused;
+  }
+  ASSERT_TRUE(discriminates) << "no searched input tells FMA from mul+add";
+  RewardOptions opts;
+  opts.lambda_r = lambda;
+  const RewardInputs prev{0.0, loss, 0.0};
+  const RewardInputs curr{acc, 0.0, 0.0};
+  EXPECT_EQ(ComputeReward(opts, prev, curr), unfused);
+}
+
 TEST(RewardTest, AucVariant) {
   RewardOptions opts;
   opts.kind = RewardKind::kAuc;
@@ -453,15 +482,9 @@ std::pair<int, int> GateCounts(const GraphRareResult& r) {
 // Histories, the selected graph, test accuracy and the final weights of
 // a seeded Algorithm 1 run, hashed bit for bit and compared against values
 // recorded at an earlier commit: a change that claims the same bytes must
-// reproduce them. As in rl_test's pin, builds that may fuse multiply-adds
-// outside src/tensor and builds that cannot have one value each.
-#if GRAPHRARE_TEST_FMA_CONTRACTS
-constexpr char kAccLossDigest[] = "42f0cdb20d833a8e";
-constexpr char kAucDigest[] = "8782202e20e10fe1";
-#else
+// reproduce them.
 constexpr char kAccLossDigest[] = "af58d135e0572088";
 constexpr char kAucDigest[] = "44df8632373ee7cf";
-#endif
 
 TEST(GraphRarePinTest, AccLossRewardRunIsPinned) {
   const GraphRareResult r = PinnedRun(RewardKind::kAccLoss);

@@ -7,8 +7,8 @@
 // bits, same order.
 //
 // JsDivergence is also the oracle of StructuralEntropyCalculator::Between.
-// It is compiled with the flags of src/entropy (no -ffp-contract override),
-// so its sums contract, and round, like Between's.
+// Like every project target, both compile with -ffp-contract=off, so its
+// sums round one operation at a time, like Between's.
 
 #ifndef GRAPHRARE_TESTS_ENTROPY_REFERENCE_H_
 #define GRAPHRARE_TESTS_ENTROPY_REFERENCE_H_

@@ -101,14 +101,8 @@ TEST(PpoAgentTest, DeterministicForSeed) {
 // joint log-probability of the sampled action (log-softmax of both heads,
 // summed in float as PpoAgent stores it), the state value, and the final
 // StateDict. Observations span [-8, 8) so the tanh trunk sees inputs on
-// both sides of its 1.0 cut-off and into saturation. Builds that may fuse
-// multiply-adds outside src/tensor and builds that cannot have one
-// recorded value each (see GRAPHRARE_TEST_FMA_CONTRACTS).
-#if GRAPHRARE_TEST_FMA_CONTRACTS
-constexpr char kRolloutDigest[] = "fb19eb9911cb849e";
-#else
+// both sides of its 1.0 cut-off and into saturation.
 constexpr char kRolloutDigest[] = "87a52e4ba5bdd63b";
-#endif
 
 TEST(PpoAgentPinTest, TwoUpdateRolloutBytesArePinned) {
   PpoOptions opts;

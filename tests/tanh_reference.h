@@ -4,8 +4,9 @@
 // into libm, so it gives the same bits on every host. The kernel test and
 // bench/tanh_exhaustive compare tensor::TanhInPlace against it bit for bit.
 //
-// Compile users with -ffp-contract=off: a fused multiply-add anywhere in
-// here rounds differently from the fdlibm expression shapes.
+// Its users compile with the project-wide -ffp-contract=off: a fused
+// multiply-add anywhere in here would round differently from the fdlibm
+// expression shapes.
 //
 // The exponent arithmetic runs on uint32_t: adding k << 23 to a float's
 // bit pattern with k < 0 is a signed left shift of a negative value (UB in

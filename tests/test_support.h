@@ -6,8 +6,8 @@
 // The library ships the fused kernels (LogSoftmaxNll behind CrossEntropy,
 // GatSegmentAttention); the ops here are the chains those kernels replace,
 // kept as bitwise oracles. They round exactly like the library ops they
-// stand beside because test_support.cc compiles with the tensor module's
-// -ffp-contract=off (see tests/CMakeLists.txt).
+// stand beside because every project target compiles with
+// -ffp-contract=off (see the root CMakeLists.txt).
 
 #ifndef GRAPHRARE_TESTS_TEST_SUPPORT_H_
 #define GRAPHRARE_TESTS_TEST_SUPPORT_H_
@@ -95,17 +95,6 @@ std::vector<int64_t> KHopNeighbors(const graph::Graph& g, int64_t v,
                                    int max_hops);
 
 // -- Cross-commit pins -----------------------------------------------------
-
-// 1 when the compiler may fuse a multiply and an add into one FMA in code
-// outside src/tensor (which compiles with -ffp-contract=off): GCC contracts
-// only when optimizing, for targets with FMA (-march=native on x86-64).
-// Such builds round co-training arithmetic differently from builds that
-// cannot fuse, so a pin records one value for each.
-#if defined(__FMA__) && defined(__OPTIMIZE__)
-#define GRAPHRARE_TEST_FMA_CONTRACTS 1
-#else
-#define GRAPHRARE_TEST_FMA_CONTRACTS 0
-#endif
 
 /// FNV-1a 64 over the exact bits of what a test feeds it. A pin test
 /// compares Hex() against a value recorded at an earlier commit, so the
