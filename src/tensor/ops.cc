@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -20,6 +21,33 @@ void Accumulate(const std::shared_ptr<AutogradNode>& parent,
   if (!parent->requires_grad) return;
   parent->EnsureGrad();
   parent->grad.AddInPlace(delta);
+}
+
+/// Inverted-dropout mask over n elements, one draw per element in index
+/// order: pm[i] = 0 where rng->Bernoulli(p) would succeed, 1 / (1 - p)
+/// elsewhere. Bernoulli tests Uniform() < p, that is
+/// (Next() >> 11) * 2^-53 < p; p * 2^53 is exact in double, so for the
+/// integer draw this is (Next() >> 11) < ceil(p * 2^53). The same draws in
+/// the same order, compared as integers. The select ANDs the bits of
+/// 1 / (1 - p) with an all-ones or all-zero word (+0 for a dropped
+/// element, as before): GCC turns both a `?:` and a multiply by 0 or 1
+/// into a branch, which mispredicts on every other element at p = 0.5.
+/// The word leaves through a float store, so the generator's state stays
+/// in registers across the loop.
+void DropoutMask(float p, Rng* rng, float* pm, int64_t n) {
+  const uint64_t threshold =
+      static_cast<uint64_t>(std::ceil(static_cast<double>(p) * 0x1.0p53));
+  const float scale = 1.0f / (1.0f - p);
+  uint32_t scale_bits;
+  std::memcpy(&scale_bits, &scale, sizeof(scale));
+  for (int64_t i = 0; i < n; ++i) {
+    const uint32_t kept =
+        0u - static_cast<uint32_t>((rng->Next() >> 11) >= threshold);
+    const uint32_t bits = scale_bits & kept;
+    float m;
+    std::memcpy(&m, &bits, sizeof(m));
+    pm[i] = m;
+  }
 }
 
 }  // namespace
@@ -259,16 +287,10 @@ Variable Dropout(const Variable& a, float p, bool training, Rng* rng) {
   GR_CHECK(p >= 0.0f && p < 1.0f) << "dropout p must be in [0,1), got " << p;
   if (!training || p == 0.0f) return a;
   GR_CHECK(rng != nullptr);
-  const float keep = 1.0f - p;
-  Tensor mask(a.value().rows(), a.value().cols());
+  Tensor mask = Tensor::Uninitialized(a.value().rows(), a.value().cols());
+  DropoutMask(p, rng, mask.data(), mask.numel());
   Tensor out = a.value();
-  float* pm = mask.data();
-  float* po = out.data();
-  for (int64_t i = 0; i < out.numel(); ++i) {
-    const bool kept = !rng->Bernoulli(p);
-    pm[i] = kept ? 1.0f / keep : 0.0f;
-    po[i] *= pm[i];
-  }
+  out.MulInPlace(mask);
   return MakeOpNode(std::move(out), {a},
                     [mask = std::move(mask)](AutogradNode* n) {
                       if (!n->parents[0]->requires_grad) return;
@@ -585,19 +607,15 @@ Variable GatSegmentAttention(const Variable& h, const Variable& sl,
     pa[i] = static_cast<float>(pa[i] / seg_sum[s]);
   }
 
-  // Attention dropout: one Bernoulli per edge in edge order — the same
-  // draws ops::Dropout would make on the (e, 1) alpha tensor, so the RNG
-  // stream downstream of this op is unchanged by the fusion.
+  // Attention dropout: the mask ops::Dropout would draw on the (e, 1)
+  // alpha tensor, so the RNG stream downstream of this op is unchanged by
+  // the fusion.
   const bool use_dropout = training && dropout_p > 0.0f;
   Tensor mask;
   if (use_dropout) {
     GR_CHECK(rng != nullptr);
-    const float keep = 1.0f - dropout_p;
-    mask = Tensor(e, 1);
-    float* pm = mask.data();
-    for (int64_t i = 0; i < e; ++i) {
-      pm[i] = rng->Bernoulli(dropout_p) ? 0.0f : 1.0f / keep;
-    }
+    mask = Tensor::Uninitialized(e, 1);
+    DropoutMask(dropout_p, rng, mask.data(), e);
   }
   const float* pm = use_dropout ? mask.data() : nullptr;
 

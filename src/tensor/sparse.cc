@@ -12,16 +12,17 @@ namespace tensor {
 namespace {
 
 // Same generic vector idiom as the GEMM micro-kernel in tensor.cc: lanes
-// are independent output features, loads/stores go through memcpy so
-// vector values never cross a function boundary (no -Wpsabi on non-AVX
-// builds), and the project-wide -ffp-contract=off keeps mul+add unfused,
-// matching the scalar loop bit for bit.
+// are independent output features, loads/stores go through memcpy into
+// locals so vector values never cross a function boundary by value (no
+// -Wpsabi on non-AVX builds), and the project-wide -ffp-contract=off keeps
+// mul+add unfused, matching the scalar loop bit for bit.
 typedef float V8f __attribute__((vector_size(32)));
 
-inline V8f LoadV8(const float* p) {
-  V8f v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
+/// *acc += v * x[0..8).
+inline void Axpy8(V8f* acc, float v, const float* x) {
+  V8f xv;
+  std::memcpy(&xv, x, sizeof(xv));
+  *acc += v * xv;
 }
 
 inline void StoreV8(float* p, const V8f& v) { std::memcpy(p, &v, sizeof(v)); }
@@ -61,14 +62,14 @@ inline void SpmmRow64(const int64_t* cols, const float* vals, int64_t begin,
     if (p + kPrefetchDist < pmax) PrefetchRow(px + cols[p + kPrefetchDist] * f);
     const float v = vals[p];
     const float* xr = px + cols[p] * f;
-    a0 += v * LoadV8(xr);
-    a1 += v * LoadV8(xr + 8);
-    a2 += v * LoadV8(xr + 16);
-    a3 += v * LoadV8(xr + 24);
-    a4 += v * LoadV8(xr + 32);
-    a5 += v * LoadV8(xr + 40);
-    a6 += v * LoadV8(xr + 48);
-    a7 += v * LoadV8(xr + 56);
+    Axpy8(&a0, v, xr);
+    Axpy8(&a1, v, xr + 8);
+    Axpy8(&a2, v, xr + 16);
+    Axpy8(&a3, v, xr + 24);
+    Axpy8(&a4, v, xr + 32);
+    Axpy8(&a5, v, xr + 40);
+    Axpy8(&a6, v, xr + 48);
+    Axpy8(&a7, v, xr + 56);
   }
   StoreV8(dst, a0);
   StoreV8(dst + 8, a1);
@@ -88,10 +89,10 @@ inline void SpmmRow32(const int64_t* cols, const float* vals, int64_t begin,
   for (int64_t p = begin; p < end; ++p) {
     const float v = vals[p];
     const float* xr = px + cols[p] * f;
-    a0 += v * LoadV8(xr);
-    a1 += v * LoadV8(xr + 8);
-    a2 += v * LoadV8(xr + 16);
-    a3 += v * LoadV8(xr + 24);
+    Axpy8(&a0, v, xr);
+    Axpy8(&a1, v, xr + 8);
+    Axpy8(&a2, v, xr + 16);
+    Axpy8(&a3, v, xr + 24);
   }
   StoreV8(dst, a0);
   StoreV8(dst + 8, a1);
@@ -104,9 +105,25 @@ inline void SpmmRow8(const int64_t* cols, const float* vals, int64_t begin,
                      int64_t end, const float* px, int64_t f, float* dst) {
   V8f a0 = {0, 0, 0, 0, 0, 0, 0, 0};
   for (int64_t p = begin; p < end; ++p) {
-    a0 += vals[p] * LoadV8(px + cols[p] * f);
+    Axpy8(&a0, vals[p], px + cols[p] * f);
   }
   StoreV8(dst, a0);
+}
+
+/// y[0..W) = row · x[., 0..W) for the f % 8 tail (the whole row when
+/// f < 8), W in 1..7: one walk over the row's nonzeros with W scalar
+/// accumulators, each an ascending-p sum from zero like the panels' lanes.
+template <int W>
+inline void SpmmRowNarrow(const int64_t* cols, const float* vals,
+                          int64_t begin, int64_t end, const float* px,
+                          int64_t f, float* dst) {
+  float acc[W] = {};
+  for (int64_t p = begin; p < end; ++p) {
+    const float v = vals[p];
+    const float* xr = px + cols[p] * f;
+    for (int c = 0; c < W; ++c) acc[c] += v * xr[c];
+  }
+  for (int c = 0; c < W; ++c) dst[c] = acc[c];
 }
 
 /// Writes yrow[0..f) = nonzeros [begin, end) of one row · x, widest slabs
@@ -127,14 +144,17 @@ inline void SpmmRowInto(const int64_t* cols, const float* vals, int64_t begin,
   for (; j + 8 <= f; j += 8) {
     SpmmRow8(cols, vals, begin, end, px + j, f, yrow + j);
   }
-  // Scalar tail for f % 8 features (also the whole row when f < 8); each
-  // element accumulates its own ascending-p sum in a register.
-  for (int64_t c = j; c < f; ++c) {
-    float acc = 0.0f;
-    for (int64_t p = begin; p < end; ++p) {
-      acc += vals[p] * px[cols[p] * f + c];
-    }
-    yrow[c] = acc;
+  const float* xt = px + j;
+  float* yt = yrow + j;
+  switch (f - j) {
+    case 1: SpmmRowNarrow<1>(cols, vals, begin, end, xt, f, yt); break;
+    case 2: SpmmRowNarrow<2>(cols, vals, begin, end, xt, f, yt); break;
+    case 3: SpmmRowNarrow<3>(cols, vals, begin, end, xt, f, yt); break;
+    case 4: SpmmRowNarrow<4>(cols, vals, begin, end, xt, f, yt); break;
+    case 5: SpmmRowNarrow<5>(cols, vals, begin, end, xt, f, yt); break;
+    case 6: SpmmRowNarrow<6>(cols, vals, begin, end, xt, f, yt); break;
+    case 7: SpmmRowNarrow<7>(cols, vals, begin, end, xt, f, yt); break;
+    default: break;  // f % 8 == 0: no tail
   }
 }
 

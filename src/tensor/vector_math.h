@@ -1,7 +1,7 @@
 // Copyright 2026 The GraphRARE Authors.
 //
 // Transcendentals the library owns instead of calling libm per element.
-// Each kernel runs eight lanes at a time with the generic vector idiom of
+// Each kernel runs sixteen lanes at a time with the generic vector idiom of
 // tensor.cc / sparse.cc and is a branch-for-branch transcription of a
 // known scalar routine, so its bits are specified by that routine and do
 // not depend on the host's libm or on the ISA the build targets.

@@ -15,6 +15,9 @@
 //   * The owned vector tanh (TanhInPlace, behind ops::Tanh) is bitwise the
 //     scalar fdlibm transcription in tests/tanh_reference.h and within
 //     2.5 ULP of double-precision tanh.
+//   * The dropout masks (ops::Dropout, the GAT attention dropout) and
+//     Adam::Step are bitwise their scalar loops, kept here as references,
+//     and dropout leaves the RNG stream where the Bernoulli loop did.
 //
 // "Exact" comparisons use float equality (== treats +0 and -0 as equal,
 // which is the one place the zero-skip in the naive path may differ).
@@ -23,11 +26,13 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "nn/optim.h"
 #include "tanh_reference.h"
 #include "tensor/ops.h"
 #include "tensor/sparse.h"
@@ -493,8 +498,9 @@ Tensor RefSpmm(const CsrMatrix& m, const Tensor& x) {
 }
 
 TEST(SpmmContract, BitwiseMatchesScalarReferenceOnRaggedWidths) {
-  // Widths straddle every dispatch path: scalar tail only (1, 3), one
-  // 8-panel (8), panel + tail (17), full 64-slab (64), slab + 32 + 8 +
+  // Widths straddle every dispatch path: every narrow tail width alone
+  // (1-7), one 8-panel (8), panel + every tail width (9-15), panel +
+  // tail (17), full 64-slab (64), slab + tail (69, 71), slab + 32 + 8 +
   // tail (107). Rows 20..29 are left structurally empty.
   Rng rng(17);
   std::vector<CooEntry> entries;
@@ -505,7 +511,9 @@ TEST(SpmmContract, BitwiseMatchesScalarReferenceOnRaggedWidths) {
                        static_cast<float>(rng.Uniform(-1.0, 1.0))});
   }
   const CsrMatrix m = CsrMatrix::FromCoo(97, 53, std::move(entries));
-  for (const int64_t f : {1L, 3L, 8L, 17L, 64L, 107L}) {
+  for (const int64_t f : {1L,  2L,  3L,  4L,  5L,  6L,  7L,  8L,
+                          9L,  10L, 11L, 12L, 13L, 14L, 15L, 17L,
+                          64L, 69L, 71L, 107L}) {
     Rng xr(static_cast<uint64_t>(f) + 100);
     const Tensor x = Tensor::Randn(53, f, &xr);
     const Tensor got = m.SpMM(x);
@@ -711,6 +719,169 @@ TEST(ThreadInvariance, FusedGatForward) {
 }
 #endif  // _OPENMP
 
+// ------------------------------------------------------------ dropout masks
+
+/// Reference dropout mask: one rng->Bernoulli(p) per element in index
+/// order, 1 / (1 - p) for a kept element. The mask kernel behind
+/// ops::Dropout and the GAT attention dropout must match it draw for draw.
+std::vector<float> RefDropoutMask(float p, Rng* rng, int64_t n) {
+  const float keep = 1.0f - p;
+  std::vector<float> mask(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    const bool kept = !rng->Bernoulli(p);
+    mask[static_cast<size_t>(i)] = kept ? 1.0f / keep : 0.0f;
+  }
+  return mask;
+}
+
+void ExpectSameFloatBits(const float* got, const std::vector<float>& want,
+                         const std::string& what) {
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(ref::FloatBits(got[i]), ref::FloatBits(want[i]))
+        << what << " differs at flat index " << i;
+  }
+}
+
+/// Probabilities near both ends of (0, 1) (1 - 2^-24 is the largest float
+/// below 1) and between, and lengths through every short case plus a GCN
+/// hidden layer.
+const float kDropoutPs[] = {0x1.0p-24f, 0.1f, 0.5f, 0.6f, 0.9f,
+                            1.0f - 0x1.0p-24f};
+
+std::vector<std::pair<int64_t, int64_t>> DropoutShapes() {
+  std::vector<std::pair<int64_t, int64_t>> shapes;
+  for (int64_t n = 0; n <= 17; ++n) shapes.emplace_back(n, 1);
+  shapes.emplace_back(2277, 64);
+  return shapes;
+}
+
+TEST(DropoutMaskTest, OpsDropoutMatchesBernoulliLoopBitwise) {
+  for (const float p : kDropoutPs) {
+    for (const auto& [rows, cols] : DropoutShapes()) {
+      const std::string what = "p=" + std::to_string(p) +
+                               " n=" + std::to_string(rows * cols);
+      Rng value_rng(static_cast<uint64_t>(rows * cols) + 3);
+      const Tensor a_val = Tensor::Randn(rows, cols, &value_rng);
+      Rng rng(29), ref_rng(29);
+      const std::vector<float> mask =
+          RefDropoutMask(p, &ref_rng, rows * cols);
+      std::vector<float> want(mask.size());
+      for (size_t i = 0; i < mask.size(); ++i) want[i] = a_val[i] * mask[i];
+
+      Variable a(a_val, /*requires_grad=*/true);
+      const Variable out = ops::Dropout(a, p, /*training=*/true, &rng);
+      ExpectSameFloatBits(out.value().data(), want, what + " output");
+      // d(sum out)/da is 1 * mask: the gradient is the mask itself.
+      if (rows * cols > 0) {
+        ops::SumAll(out).Backward();
+        ExpectSameFloatBits(a.grad().data(), mask, what + " mask");
+      }
+      EXPECT_EQ(rng.Next(), ref_rng.Next()) << what << " next draw";
+    }
+  }
+}
+
+TEST(DropoutMaskTest, GatAttentionDropoutMatchesBernoulliLoopBitwise) {
+  // One self-loop edge per node: every softmax segment holds a single
+  // edge, so alpha is exactly 1 and out[i] = 0 + mask[i] * h[i] (the
+  // scatter starts from +0); summing the output gives
+  // d(h)[i] = alpha[i] * mask[i] = mask[i].
+  for (const float p : kDropoutPs) {
+    for (const auto& [rows, cols] : DropoutShapes()) {
+      const int64_t e = rows * cols;
+      const std::string what =
+          "p=" + std::to_string(p) + " e=" + std::to_string(e);
+      std::vector<int64_t> src(static_cast<size_t>(e));
+      for (int64_t i = 0; i < e; ++i) src[static_cast<size_t>(i)] = i;
+      const std::vector<int64_t> dst = src;
+      Rng value_rng(static_cast<uint64_t>(e) + 5);
+      const Tensor h_val = Tensor::Randn(e, 1, &value_rng);
+      Rng rng(31), ref_rng(31);
+      const std::vector<float> mask = RefDropoutMask(p, &ref_rng, e);
+      std::vector<float> want(mask.size());
+      for (size_t i = 0; i < mask.size(); ++i) {
+        want[i] = 0.0f + mask[i] * h_val[i];
+      }
+
+      Variable h(h_val, /*requires_grad=*/true);
+      Variable sl(Tensor::Randn(e, 1, &value_rng));
+      Variable sr(Tensor::Randn(e, 1, &value_rng));
+      const Variable out = ops::GatSegmentAttention(
+          h, sl, sr, src, dst, e, /*negative_slope=*/0.2f, p,
+          /*training=*/true, &rng);
+      ExpectSameFloatBits(out.value().data(), want, what + " output");
+      if (e > 0) {
+        ops::SumAll(out).Backward();
+        ExpectSameFloatBits(h.grad().data(), mask, what + " mask");
+      }
+      EXPECT_EQ(rng.Next(), ref_rng.Next()) << what << " next draw";
+    }
+  }
+}
+
+// --------------------------------------------------------------------- adam
+
+/// One Adam update of one element, written as Adam::Step's loop body. Kept
+/// out of line so the reference loop below stays scalar whatever the
+/// compiler does with Step's.
+[[gnu::noinline]] void RefAdamElement(const nn::Adam::Options& o, float bc1,
+                                      float bc2, float g, float* w, float* m,
+                                      float* v) {
+  const float grad = g + o.weight_decay * *w;
+  *m = o.beta1 * *m + (1.0f - o.beta1) * grad;
+  *v = o.beta2 * *v + (1.0f - o.beta2) * grad * grad;
+  const float m_hat = *m / bc1;
+  const float v_hat = *v / bc2;
+  *w -= o.lr * m_hat / (std::sqrt(v_hat) + o.eps);
+}
+
+TEST(AdamStepTest, MatchesScalarReferenceBitwise) {
+  // Sizes cover whole vectors plus every kind of remainder; the middle
+  // parameter never gets a gradient and must be left untouched.
+  const std::pair<int64_t, int64_t> shapes[] = {{37, 19}, {3, 5}, {64, 5}};
+  for (const float wd : {0.0f, 5e-4f}) {
+    nn::Adam::Options opts;
+    opts.weight_decay = wd;
+    Rng rng(37);
+    std::vector<Variable> params;
+    std::vector<std::vector<float>> w, m, v;
+    for (const auto& [r, c] : shapes) {
+      params.emplace_back(Tensor::Randn(r, c, &rng), /*requires_grad=*/true);
+      const Tensor& val = params.back().value();
+      w.emplace_back(val.data(), val.data() + val.numel());
+      m.emplace_back(w.back().size(), 0.0f);
+      v.emplace_back(w.back().size(), 0.0f);
+    }
+    nn::Adam adam(params, opts);
+    for (int step = 1; step <= 5; ++step) {
+      std::vector<Tensor> grads;
+      for (size_t k = 0; k < params.size(); ++k) {
+        grads.push_back(Tensor::Randn(shapes[k].first, shapes[k].second,
+                                      &rng));
+        if (k != 1) *params[k].node()->EnsureGrad() = grads.back();
+      }
+      ASSERT_FALSE(params[1].has_grad());
+      adam.Step();
+
+      const float bc1 = 1.0f - std::pow(opts.beta1, static_cast<float>(step));
+      const float bc2 = 1.0f - std::pow(opts.beta2, static_cast<float>(step));
+      for (size_t k = 0; k < params.size(); ++k) {
+        if (k == 1) continue;
+        for (size_t j = 0; j < w[k].size(); ++j) {
+          RefAdamElement(opts, bc1, bc2, grads[k][static_cast<int64_t>(j)],
+                         &w[k][j], &m[k][j], &v[k][j]);
+        }
+      }
+      for (size_t k = 0; k < params.size(); ++k) {
+        ExpectSameFloatBits(params[k].value().data(), w[k],
+                            "wd=" + std::to_string(wd) + " step " +
+                                std::to_string(step) + " param " +
+                                std::to_string(k));
+      }
+    }
+  }
+}
+
 // --------------------------------------------------------------- vector tanh
 
 using ref::BitsFloat;
@@ -778,10 +949,10 @@ TEST(VectorTanhTest, SweepMatchesReferenceBitwise) {
 }
 
 TEST(VectorTanhTest, EveryTailLengthMatchesAndStaysInBounds) {
-  // Lengths 0-7 run the tail path alone, 8-15 a full vector plus a tail.
-  // The sentinel after the range must come back untouched.
+  // Lengths 0-15 run the tail path alone, 16-31 a full 16-lane vector plus
+  // a tail. The sentinel after the range must come back untouched.
   const std::vector<uint32_t> edges = TanhEdgeBits();
-  for (int64_t n = 0; n < 16; ++n) {
+  for (int64_t n = 0; n < 32; ++n) {
     for (size_t start = 0; start + static_cast<size_t>(n) <= edges.size();
          start += 7) {
       std::vector<float> x(static_cast<size_t>(n) + 1);
