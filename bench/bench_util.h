@@ -129,10 +129,12 @@ inline void PrintRow(const std::string& name,
   std::printf("\n");
 }
 
-/// Machine-readable bench output: accumulates per-config records and writes
-/// BENCH_<name>.json next to the binary's working directory, so the perf
-/// trajectory (epoch time, peak RSS, accuracy, ...) is tracked across PRs
-/// instead of living only in stdout tables. Format:
+/// Machine-readable output for the scaling benches (million_node,
+/// minibatch_scaling): accumulates per-config records and writes
+/// BENCH_<name>.json in the working directory, so their figures (round
+/// time, peak RSS, accuracy, ...) can be read without parsing stdout
+/// tables. The cross-change speed trajectory is perfbench's, not this.
+/// Format:
 ///   {"bench": "<name>", "full_scale": 0|1,
 ///    "configs": [{"key": value, ...}, ...]}
 class BenchJson {

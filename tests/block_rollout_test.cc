@@ -15,9 +15,8 @@
 //    shared GraphRareResult, and RunBlockCoTraining aborts on the ablation
 //    knobs it does not implement.
 //  * End-to-end: block-scoped co-training completes in seconds on a
-//    10k-node graph, a scale past the rl_blocks_scaling bench's
-//    full-graph-episode cutoff (full-graph per-step cost grows with the
-//    whole adjacency).
+//    10k-node graph, a scale where full-graph episodes are slow
+//    (full-graph per-step cost grows with the whole adjacency).
 
 #include <gtest/gtest.h>
 
@@ -537,11 +536,11 @@ TEST(BlockRolloutRunnerTest, SampledBlocksStayLocalAndMerge) {
 }
 
 TEST(BlockRolloutEndToEndTest, CoTrainsOnTenThousandNodeGraph) {
-  // 10k nodes: the rl_blocks_scaling bench caps full-graph episodes at 2k
-  // for time-budget reasons — per-step observation,
-  // rewiring, and GNN training all touch the whole adjacency, so their
-  // cost grows with the graph — while block-scoped rollouts finish in
-  // seconds here because per-step cost follows the sampled block.
+  // 10k nodes: full-graph episodes are slow at this scale — per-step
+  // observation, rewiring, and GNN training all touch the whole
+  // adjacency, so their cost grows with the graph — while block-scoped
+  // rollouts finish in seconds here because per-step cost follows the
+  // sampled block.
   data::GeneratorOptions o;
   o.name = "synthetic-10k";
   o.num_nodes = 10000;

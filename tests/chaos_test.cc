@@ -3,9 +3,10 @@
 // probability streams, crash-safe artifact saves (the incumbent file is
 // byte-identical after a failed overwrite at any injectable stage),
 // per-section checksum detection of torn/corrupt artifacts, EINTR storms
-// and short reads/writes on both the artifact and socket paths, deadline
-// shedding with 503 + Retry-After, the overload watchdog, metrics for a
-// request whose client vanished mid-flight, reload rollback under
+// and short reads/writes on both the artifact and socket paths (the
+// latter also with pipelined connections under continuous batching),
+// deadline shedding with 503 + Retry-After, the overload watchdog, metrics
+// for a request whose client vanished mid-flight, reload rollback under
 // concurrent load at every injectable failure stage, and the reload
 // circuit breaker lifecycle. Run alone with `ctest -L chaos`.
 
@@ -675,6 +676,56 @@ TEST_F(ChaosServerTest, SocketFaultStormKeepsResponsesByteExact) {
     EXPECT_EQ(r.status, 200);
     EXPECT_EQ(r.body, expected);
   }
+}
+
+TEST_F(ChaosServerTest, PipelinedStormUnderContinuousBatchingDropsNothing) {
+  // Continuous batching: concurrent connections' requests share engine
+  // calls. The full-graph engine's answer for a node does not depend on
+  // which batch carried it, so every body is exact whatever the timing
+  // (batch sizes are timing-dependent and not asserted).
+  net::HttpServerOptions options;
+  options.batcher.max_batch = 16;
+  options.batcher.max_queue_delay_ms = 2.0;
+  StartServer(options);
+  ASSERT_TRUE(
+      failpoint::ConfigureFromList("net.read=20%eintr; net.write=20%short")
+          .ok());
+
+  constexpr int kConnections = 4;
+  constexpr int kRequests = 16;
+  auto node_for = [](int c, int i) -> int64_t { return c * kRequests + i; };
+  // Each connection pipelines all its requests before reading any reply;
+  // gtest assertions stay on this thread.
+  std::vector<std::vector<ClientResponse>> responses(kConnections);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kConnections; ++c) {
+    clients.emplace_back([&, c] {
+      TestClient client(port());
+      if (!client.ok()) return;
+      for (int i = 0; i < kRequests; ++i) {
+        client.Request("POST", "/v1/predict",
+                       "{\"nodes\":[" + std::to_string(node_for(c, i)) + "]}");
+      }
+      for (int i = 0; i < kRequests; ++i) {
+        ClientResponse r;
+        if (!client.ReadResponse(&r)) return;
+        responses[c].push_back(std::move(r));
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  for (int c = 0; c < kConnections; ++c) {
+    ASSERT_EQ(responses[c].size(), static_cast<size_t>(kRequests))
+        << "conn " << c << " lost responses";
+    for (int i = 0; i < kRequests; ++i) {
+      EXPECT_EQ(responses[c][i].status, 200) << "conn " << c << " req " << i;
+      EXPECT_EQ(responses[c][i].body, ExpectedPredictBody({node_for(c, i)}))
+          << "conn " << c << " req " << i;
+    }
+  }
+  EXPECT_GT(failpoint::Fired("net.read"), 0);
+  EXPECT_GT(failpoint::Fired("net.write"), 0);
 }
 
 // ---- Deadlines and load shedding over HTTP --------------------------------
