@@ -120,12 +120,20 @@ inline void PrintBanner(const char* experiment, const char* paper_ref) {
   std::printf("=======================================================\n\n");
 }
 
-/// Row printer: name column + cells.
+/// Row printer: name column + cells. Cells are right-aligned by display
+/// width (a UTF-8 "±" is two bytes but one column), and each keeps at
+/// least one space before it, so a cell as wide as its column never runs
+/// into its neighbour.
 inline void PrintRow(const std::string& name,
                      const std::vector<std::string>& cells,
                      size_t name_width = 24, size_t cell_width = 14) {
   std::printf("%s", PadRight(name, name_width).c_str());
-  for (const auto& c : cells) std::printf("%s", PadLeft(c, cell_width).c_str());
+  for (const auto& c : cells) {
+    size_t width = 0;
+    for (const unsigned char ch : c) width += (ch & 0xC0) != 0x80;
+    const size_t pad = width < cell_width ? cell_width - width : 1;
+    std::printf("%*s%s", static_cast<int>(pad), "", c.c_str());
+  }
   std::printf("\n");
 }
 

@@ -111,7 +111,6 @@ void Run() {
               mo.in_features = ds.num_features();
               mo.hidden = exp_opts.hidden;
               mo.num_classes = ds.num_classes;
-              mo.dropout = exp_opts.dropout;
               mo.seed = seed;
               return std::make_unique<core::SimpGcnStarModel>(mo, knn_op);
             },

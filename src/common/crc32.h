@@ -26,9 +26,6 @@ class Crc32 {
     return ~crc;
   }
 
-  /// One-shot CRC of a buffer.
-  static uint32_t Of(const void* data, size_t n) { return Update(0, data, n); }
-
  private:
   static const uint32_t* Table() {
     static const std::array<uint32_t, 256> table = [] {

@@ -1,7 +1,7 @@
 // Copyright 2026 The GraphRARE Authors.
 //
 // Fail-point framework: named fault-injection sites compiled into the
-// serving stack, switched on at runtime (tests, the chaos bench, or the
+// serving stack, switched on at runtime (tests such as chaos_test, or the
 // GRAPHRARE_FAILPOINTS environment variable) and free when off — an
 // unconfigured site costs one relaxed atomic load.
 //

@@ -33,9 +33,6 @@ class LineReader {
     return true;
   }
 
-  /// Number of the last line handed out by Next (0 before the first).
-  int64_t line_no() const { return line_no_; }
-
   /// InvalidArgument pinned to the current line.
   Status Error(const std::string& message) const {
     return Status::InvalidArgument(

@@ -89,11 +89,6 @@ class Rng {
     return r * std::cos(theta);
   }
 
-  /// Normal with the given mean and standard deviation.
-  double Normal(double mean, double stddev) {
-    return mean + stddev * Normal();
-  }
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>* v) {
@@ -122,20 +117,6 @@ class Rng {
       out.push_back(pool[static_cast<size_t>(i)]);
     }
     return out;
-  }
-
-  /// Samples an index from an (unnormalised, non-negative) weight vector.
-  size_t Categorical(const std::vector<double>& weights) {
-    GR_DCHECK(!weights.empty());
-    double total = 0.0;
-    for (double w : weights) total += w;
-    GR_DCHECK(total > 0.0);
-    double r = Uniform() * total;
-    for (size_t i = 0; i < weights.size(); ++i) {
-      r -= weights[i];
-      if (r < 0.0) return i;
-    }
-    return weights.size() - 1;
   }
 
   /// Derives an independent child generator (for per-split / per-worker

@@ -91,11 +91,6 @@ class LatencyRecorder {
     return s;
   }
 
-  int64_t count() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<int64_t>(observed_);
-  }
-
  private:
   mutable std::mutex mu_;
   size_t capacity_;

@@ -7,7 +7,6 @@
 #ifndef GRAPHRARE_COMMON_STATUS_H_
 #define GRAPHRARE_COMMON_STATUS_H_
 
-#include <ostream>
 #include <string>
 #include <utility>
 
@@ -54,9 +53,6 @@ class Status {
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
-  }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
   }
@@ -71,18 +67,10 @@ class Status {
   /// "OK" or "InvalidArgument: <message>".
   std::string ToString() const;
 
-  bool operator==(const Status& other) const {
-    return code_ == other.code_ && msg_ == other.msg_;
-  }
-
  private:
   StatusCode code_;
   std::string msg_;
 };
-
-inline std::ostream& operator<<(std::ostream& os, const Status& s) {
-  return os << s.ToString();
-}
 
 /// Propagates a non-OK status to the caller (RocksDB idiom).
 #define GR_RETURN_IF_ERROR(expr)                   \

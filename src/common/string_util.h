@@ -120,11 +120,6 @@ inline std::string PadRight(const std::string& s, size_t width) {
   return s + std::string(width - s.size(), ' ');
 }
 
-inline std::string PadLeft(const std::string& s, size_t width) {
-  if (s.size() >= width) return s;
-  return std::string(width - s.size(), ' ') + s;
-}
-
 }  // namespace graphrare
 
 #endif  // GRAPHRARE_COMMON_STRING_UTIL_H_

@@ -133,8 +133,6 @@ class BlockTopologyEnv : public rl::Env {
 
   /// Current (rewired) block graph, local ids.
   const graph::Graph& current_graph() const { return view_.graph; }
-  const graph::Subgraph& block() const { return block_; }
-  const TopologyState& state() const { return *state_; }
 
   /// Records this episode's final per-node edit slice (global ids) into
   /// the merger. Call after the episode; last writer wins on overlap.
@@ -187,8 +185,6 @@ class BlockRolloutRunner {
   /// G_0 with every edit recorded so far applied (later rounds overwrite
   /// earlier ones per node).
   graph::Graph MergedGraph() const { return merger_.Merge(dataset_->graph); }
-  const EditMerger& merger() const { return merger_; }
-  const BlockRolloutOptions& options() const { return options_; }
 
  private:
   const data::Dataset* dataset_;

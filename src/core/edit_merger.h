@@ -63,10 +63,6 @@ class EditMerger {
                    const entropy::RelativeEntropyIndex& block_index,
                    const TopologyOptimizerOptions& options = {});
 
-  int64_t num_nodes_recorded() const {
-    return static_cast<int64_t>(edits_.size());
-  }
-
   /// Opens a new conflict-accounting window: round_stats() then covers the
   /// records between this call and the next. Without a BeginRound call the
   /// window spans the merger's whole lifetime.

@@ -33,9 +33,6 @@ nn::ModelOptions ToModelOptions(const data::Dataset& dataset,
   mo.in_features = dataset.num_features();
   mo.hidden = options.hidden;
   mo.num_classes = dataset.num_classes;
-  mo.num_layers = options.num_layers;
-  mo.dropout = options.dropout;
-  mo.gat_heads = options.gat_heads;
   mo.seed = seed;
   return mo;
 }

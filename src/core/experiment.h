@@ -31,15 +31,13 @@ struct RunStats {
 
 RunStats Aggregate(const std::vector<double>& values);
 
-/// Shared experiment configuration (baseline fitting budget).
+/// Shared experiment configuration (baseline fitting budget). Depth,
+/// dropout and GAT heads are nn::ModelOptions' paper defaults.
 struct ExperimentOptions {
   int num_splits = 10;
   int max_epochs = 150;
   int patience = 25;
   int64_t hidden = 64;
-  int num_layers = 2;
-  float dropout = 0.5f;
-  int gat_heads = 4;
   nn::Adam::Options adam;
   uint64_t seed = 7;
 

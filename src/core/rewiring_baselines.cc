@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <queue>
 
+#include "entropy/feature_entropy.h"
 #include "tensor/ops.h"
 
 namespace graphrare {
@@ -11,12 +12,19 @@ namespace core {
 namespace ops = tensor::ops;
 using tensor::Variable;
 
+namespace {
+
+constexpr entropy::FeatureEmbeddingOptions kKnnEmbedding{};
+constexpr int64_t kExactLimit = 4096;
+constexpr int64_t kSampledCandidates = 512;
+
+}  // namespace
+
 graph::Graph BuildKnnGraph(const tensor::Tensor& features,
                            const KnnGraphOptions& options) {
   GR_CHECK_GT(options.k, 0);
   const int64_t n = features.rows();
-  const tensor::Tensor z =
-      entropy::EmbedFeatures(features, options.embedding);
+  const tensor::Tensor z = entropy::EmbedFeatures(features, kKnnEmbedding);
   Rng rng(options.seed);
 
   std::vector<graph::Edge> edges;
@@ -24,7 +32,7 @@ graph::Graph BuildKnnGraph(const tensor::Tensor& features,
   std::vector<std::pair<float, int64_t>> scored;
   for (int64_t v = 0; v < n; ++v) {
     scored.clear();
-    if (n <= options.exact_limit) {
+    if (n <= kExactLimit) {
       for (int64_t u = 0; u < n; ++u) {
         if (u == v) continue;
         scored.emplace_back(
@@ -32,7 +40,7 @@ graph::Graph BuildKnnGraph(const tensor::Tensor& features,
       }
     } else {
       const std::vector<int64_t> candidates = rng.SampleWithoutReplacement(
-          n, std::min<int64_t>(options.sampled_candidates, n));
+          n, std::min<int64_t>(kSampledCandidates, n));
       for (int64_t u : candidates) {
         if (u == v) continue;
         scored.emplace_back(

@@ -19,7 +19,6 @@
 #include <memory>
 
 #include "data/dataset.h"
-#include "entropy/feature_entropy.h"
 #include "nn/models.h"
 
 namespace graphrare {
@@ -28,15 +27,13 @@ namespace core {
 /// Options for feature-similarity kNN graph construction.
 struct KnnGraphOptions {
   int k = 5;
-  entropy::FeatureEmbeddingOptions embedding;
-  /// Exact kNN for graphs up to this size; larger graphs score a sampled
-  /// candidate pool per node (documented approximation).
-  int64_t exact_limit = 4096;
-  int64_t sampled_candidates = 512;
   uint64_t seed = 19;
 };
 
-/// Builds the cosine-similarity kNN graph over node features.
+/// Builds the cosine-similarity kNN graph over node features, embedded
+/// with the default FeatureEmbeddingOptions. Exact for graphs of up to
+/// 4096 nodes; larger graphs score a sampled pool of 512 candidates per
+/// node (documented approximation).
 graph::Graph BuildKnnGraph(const tensor::Tensor& features,
                            const KnnGraphOptions& options);
 

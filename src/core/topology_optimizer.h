@@ -36,8 +36,6 @@ struct TopologyOptimizerOptions {
 struct NodeEdits {
   std::vector<int64_t> add;
   std::vector<int64_t> remove;
-
-  bool empty() const { return add.empty() && remove.empty(); }
 };
 
 /// Edits node `v` contributes under `state` (Fig. 4, one node's slice).

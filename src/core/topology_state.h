@@ -65,23 +65,6 @@ class TopologyState {
     }
   }
 
-  void Reset() {
-    std::fill(k_.begin(), k_.end(), 0);
-    std::fill(d_.begin(), d_.end(), 0);
-  }
-
-  /// Sum of all k (total queued additions) / d (total queued deletions).
-  int64_t TotalK() const {
-    int64_t s = 0;
-    for (int v : k_) s += v;
-    return s;
-  }
-  int64_t TotalD() const {
-    int64_t s = 0;
-    for (int v : d_) s += v;
-    return s;
-  }
-
  private:
   static int Clamp(int v, int hi) { return v < 0 ? 0 : (v > hi ? hi : v); }
 

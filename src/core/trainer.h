@@ -224,12 +224,6 @@ class GraphRareTrainer {
 
   GraphRareResult Run(const data::Split& split);
 
-  /// The entropy index built for the last Run (shared across ablations in
-  /// benches; exposed for inspection).
-  const entropy::RelativeEntropyIndex* index() const {
-    return index_ ? index_.get() : nullptr;
-  }
-
  private:
   /// One evaluation forward on `g` with the trainer's current weights: the
   /// reward inputs over split.train and, when `val_accuracy` is non-null,

@@ -81,8 +81,6 @@ class BlockPipeline {
   /// prefetch_depth == 0.
   std::vector<ScheduledBlock> NextRound();
 
-  const BlockPipelineOptions& options() const { return options_; }
-
  private:
   struct RoundPlan {
     int64_t round = 0;

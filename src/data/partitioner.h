@@ -64,7 +64,6 @@ class Partitioner {
   /// Convenience: `n` consecutive NextBatch() results.
   std::vector<std::vector<int64_t>> NextBatches(int n);
 
-  const PartitionerOptions& options() const { return options_; }
   /// Batches per epoch: ceil(train / batch_size).
   int64_t batches_per_epoch() const;
 

@@ -47,7 +47,7 @@ struct SamplerOptions {
 
 /// Samples layered neighborhood blocks from a fixed graph. Stateful only in
 /// the block counter: consecutive SampleBlock calls advance the stream, and
-/// Reset() rewinds it so a reseeded sampler replays identical blocks.
+/// SampleBlockAt replays any position of it.
 class NeighborSampler {
  public:
   /// `graph` must outlive the sampler.
@@ -69,11 +69,6 @@ class NeighborSampler {
   /// layers()[l+1] the nodes first reached at layer l (sorted ascending).
   /// Exposed for tests and diagnostics.
   const std::vector<std::vector<int64_t>>& layers() const { return layers_; }
-
-  /// Rewinds the block counter to zero (epoch replay).
-  void Reset() { block_counter_ = 0; }
-
-  const SamplerOptions& options() const { return options_; }
 
   /// Samples at most `fanout` neighbors of `v` (see SamplerOptions::replace
   /// for the two modes; fanout == -1 keeps every neighbor). Public so tests

@@ -7,13 +7,18 @@
 
 namespace graphrare {
 namespace data {
+namespace {
+
+constexpr double kValFraction = 0.2;  // Geom-GCN's 20% validation share
+
+}  // namespace
 
 std::vector<Split> MakeSplits(const std::vector<int64_t>& labels,
                               int64_t num_classes,
                               const SplitOptions& options) {
   GR_CHECK_GT(num_classes, 0);
-  GR_CHECK(options.train_fraction > 0.0 && options.val_fraction >= 0.0 &&
-           options.train_fraction + options.val_fraction < 1.0)
+  GR_CHECK(options.train_fraction > 0.0 &&
+           options.train_fraction + kValFraction < 1.0)
       << "invalid split fractions";
   GR_CHECK_GT(options.num_splits, 0);
 
@@ -38,8 +43,8 @@ std::vector<Split> MakeSplits(const std::vector<int64_t>& labels,
       const int64_t m = static_cast<int64_t>(members.size());
       int64_t n_train = static_cast<int64_t>(
           options.train_fraction * static_cast<double>(m));
-      int64_t n_val = static_cast<int64_t>(
-          options.val_fraction * static_cast<double>(m));
+      int64_t n_val =
+          static_cast<int64_t>(kValFraction * static_cast<double>(m));
       if (m >= 3) {
         // Guarantee representation of every class everywhere.
         n_train = std::max<int64_t>(n_train, 1);

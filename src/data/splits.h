@@ -18,8 +18,8 @@ namespace data {
 /// Options for split generation.
 struct SplitOptions {
   double train_fraction = 0.6;
-  double val_fraction = 0.2;
-  // test gets the remainder.
+  // Validation takes a fixed 20% (kValFraction in splits.cc); test gets
+  // the remainder.
   int num_splits = 10;
   uint64_t seed = 7;
 };

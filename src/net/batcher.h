@@ -39,7 +39,7 @@ namespace net {
 
 struct BatcherOptions {
   /// Most requests one engine call may carry. 1 reproduces a plain
-  /// serial request-per-call server (the bench baseline).
+  /// serial request-per-call server.
   int max_batch = 16;
   /// How long a worker holding a non-full batch waits for joiners before
   /// running anyway. 0 = never wait (take whatever is queued).
@@ -110,7 +110,6 @@ class ContinuousBatcher {
   void Stop();
 
   BatcherStats Stats() const;
-  const BatcherOptions& options() const { return options_; }
 
  private:
   struct Pending {

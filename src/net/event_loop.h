@@ -61,8 +61,6 @@ class EventLoop {
   /// Clears a previous Stop() so the loop can be reused (tests).
   void ResetStop() { stop_.store(false); }
 
-  bool stopping() const { return stop_.load(); }
-
  private:
   void DrainWakeFd();
 

@@ -30,21 +30,15 @@ class JsonValue {
 
   JsonValue() = default;
 
-  Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
   bool is_number() const { return kind_ == Kind::kNumber; }
   bool is_string() const { return kind_ == Kind::kString; }
   bool is_array() const { return kind_ == Kind::kArray; }
   bool is_object() const { return kind_ == Kind::kObject; }
 
   bool AsBool() const { return bool_; }
-  double AsNumber() const { return number_; }
   const std::string& AsString() const { return string_; }
   const std::vector<JsonValue>& items() const { return items_; }
-  const std::vector<std::pair<std::string, JsonValue>>& members() const {
-    return members_;
-  }
 
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* Find(const std::string& key) const;

@@ -25,6 +25,11 @@ namespace net {
 
 namespace {
 
+constexpr int kListenBacklog = 128;
+constexpr int kMaxConnections = 1024;
+/// Ceiling for client-supplied X-Deadline-Ms values.
+constexpr double kMaxDeadlineMs = 60000.0;
+
 Status Errno(const char* what) {
   return Status::Internal(StrFormat("%s: %s", what, std::strerror(errno)));
 }
@@ -135,9 +140,6 @@ Status HttpServerOptions::Validate() const {
   if (port < 0 || port > 65535) {
     return Status::InvalidArgument("port must be in [0, 65535]");
   }
-  if (max_connections < 1) {
-    return Status::InvalidArgument("max_connections must be >= 1");
-  }
   if (idle_timeout_ms < 0) {
     return Status::InvalidArgument("idle_timeout_ms must be >= 0");
   }
@@ -149,9 +151,6 @@ Status HttpServerOptions::Validate() const {
   }
   if (default_deadline_ms < 0.0) {
     return Status::InvalidArgument("default_deadline_ms must be >= 0");
-  }
-  if (max_deadline_ms <= 0.0) {
-    return Status::InvalidArgument("max_deadline_ms must be > 0");
   }
   if (reload_breaker_threshold < 0) {
     return Status::InvalidArgument("reload_breaker_threshold must be >= 0");
@@ -279,7 +278,7 @@ Status HttpServer::Start() {
              sizeof(addr)) != 0) {
     return Errno("bind");
   }
-  if (::listen(listen_fd_, options_.backlog) != 0) return Errno("listen");
+  if (::listen(listen_fd_, kListenBacklog) != 0) return Errno("listen");
 
   socklen_t len = sizeof(addr);
   if (::getsockname(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
@@ -371,7 +370,7 @@ void HttpServer::AcceptReady() {
       accept_paused_ = true;
       return;
     }
-    if (static_cast<int>(conns_.size()) >= options_.max_connections) {
+    if (static_cast<int>(conns_.size()) >= kMaxConnections) {
       connections_rejected_.fetch_add(1);
       ::close(fd);
       continue;
@@ -530,7 +529,7 @@ void HttpServer::HandleRequest(Connection* conn, HttpRequest request) {
                           keep_alive));
       return;
     }
-    deadline_ms = std::min(v, options_.max_deadline_ms);
+    deadline_ms = std::min(v, kMaxDeadlineMs);
   }
   if (route == kRouteReload) {
     HandleReload(conn, slot, keep_alive, watch, request.body);

@@ -53,8 +53,6 @@ namespace net {
 struct HttpServerOptions {
   std::string host = "127.0.0.1";
   int port = 0;  ///< 0 = ephemeral; read the bound port from port()
-  int backlog = 128;
-  int max_connections = 1024;
   /// Connections with no read progress and nothing in flight are closed
   /// after this long — the slow-loris guard. 0 disables the sweep.
   int idle_timeout_ms = 10000;
@@ -64,12 +62,11 @@ struct HttpServerOptions {
   /// slo_violations counter on /metrics.
   double slo_ms = 50.0;
   /// Default deadline for /v1/predict and /v1/topk (overridable per
-  /// request with the X-Deadline-Ms header). A request still queued when
-  /// its deadline passes is shed with 503 + Retry-After instead of
-  /// spending engine time. 0 = no default deadline.
+  /// request with the X-Deadline-Ms header, clamped to kMaxDeadlineMs in
+  /// server.cc). A request still queued when its deadline passes is shed
+  /// with 503 + Retry-After instead of spending engine time. 0 = no
+  /// default deadline.
   double default_deadline_ms = 0.0;
-  /// Ceiling for client-supplied X-Deadline-Ms values.
-  double max_deadline_ms = 60000.0;
   /// Reload circuit breaker: this many consecutive reload failures open
   /// the breaker — further reloads get 503 + Retry-After until
   /// `reload_breaker_cooldown_ms` passes, then one half-open probe reload

@@ -35,9 +35,6 @@ struct LayerInput {
     return in;
   }
   bool is_sparse() const { return sparse != nullptr; }
-  int64_t rows() const {
-    return is_sparse() ? sparse->rows() : dense.value().rows();
-  }
 };
 
 /// GCN layer (Kipf & Welling): H' = D^{-1/2}(A+I)D^{-1/2} (H W).
@@ -72,8 +69,6 @@ class GATConv : public Module {
 
   tensor::Variable Forward(const graph::Graph& g, const LayerInput& x,
                            bool training, Rng* rng) const;
-
-  int num_heads() const { return static_cast<int>(heads_.size()); }
 
  private:
   struct Head {

@@ -59,11 +59,6 @@ class Linear : public Module {
     return tensor::ops::AddBiasRelu(tensor::ops::SpMM(x, weight_), bias_);
   }
 
-  const tensor::Variable& weight() const { return weight_; }
-  const tensor::Variable& bias() const { return bias_; }
-  int64_t in_features() const { return weight_.value().rows(); }
-  int64_t out_features() const { return weight_.value().cols(); }
-
  private:
   tensor::Variable weight_;
   tensor::Variable bias_;

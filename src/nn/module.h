@@ -99,13 +99,6 @@ class Module {
     for (auto& p : Parameters()) p.ZeroGrad();
   }
 
-  /// Total scalar parameter count.
-  int64_t NumParameters() const {
-    int64_t n = 0;
-    for (const auto& p : Parameters()) n += p.value().numel();
-    return n;
-  }
-
  protected:
   /// Registers a leaf parameter initialised with `init`; returns the handle.
   tensor::Variable RegisterParameter(std::string name, tensor::Tensor init) {

@@ -16,13 +16,12 @@ namespace nn {
 
 /// Adam (Kingma & Ba) with decoupled-style L2 weight decay added to the
 /// gradient (classic Adam + weight decay, as used by the paper's setup).
+/// β₁ = 0.9, β₂ = 0.999 and ε = 1e-8 are the library defaults the paper
+/// leaves untuned; they are constants in optim.cc.
 class Adam {
  public:
   struct Options {
     float lr = 0.05f;           // paper Sec. V-C initial learning rate
-    float beta1 = 0.9f;
-    float beta2 = 0.999f;
-    float eps = 1e-8f;
     float weight_decay = 5e-5f;  // paper: {5e-5, 5e-6}
   };
 

@@ -36,8 +36,6 @@ class ActorCriticPolicy : public nn::Module {
   /// obs is (N, obs_dim); one row per node.
   PolicyOutput Forward(const tensor::Variable& obs) const;
 
-  int64_t obs_dim() const { return fc1_->in_features(); }
-
  private:
   std::unique_ptr<nn::Linear> fc1_;
   std::unique_ptr<nn::Linear> fc2_;

@@ -13,16 +13,12 @@ using tensor::Tensor;
 using tensor::Variable;
 
 Status PpoOptions::Validate() const {
-  if (hidden < 1) return Status::InvalidArgument("hidden must be >= 1");
   if (lr <= 0.0f) return Status::InvalidArgument("lr must be positive");
   if (clip <= 0.0f || clip >= 1.0f) {
     return Status::InvalidArgument("clip must be in (0, 1)");
   }
   if (gamma < 0.0f || gamma > 1.0f) {
     return Status::InvalidArgument("gamma must be in [0, 1]");
-  }
-  if (gae_lambda < 0.0f || gae_lambda > 1.0f) {
-    return Status::InvalidArgument("gae_lambda must be in [0, 1]");
   }
   if (update_epochs < 1) {
     return Status::InvalidArgument("update_epochs must be >= 1");
@@ -34,6 +30,11 @@ Status PpoOptions::Validate() const {
 }
 
 namespace {
+
+// SB3's PPO defaults (the paper keeps them).
+constexpr int64_t kPolicyHidden = 64;
+constexpr float kGaeLambda = 0.95f;
+constexpr float kValueCoef = 0.5f;
 
 /// Samples one categorical choice per row from log-probabilities.
 void SampleRows(const Tensor& logp, Rng* rng, std::vector<int64_t>* choices) {
@@ -68,7 +69,7 @@ PpoAgent::PpoAgent(int64_t obs_dim, const PpoOptions& options)
     : options_(options), rng_(options.seed) {
   GR_CHECK_OK(options.Validate());
   Rng init_rng(options.seed ^ 0xC0FFEEULL);
-  policy_ = std::make_unique<ActorCriticPolicy>(obs_dim, options.hidden,
+  policy_ = std::make_unique<ActorCriticPolicy>(obs_dim, kPolicyHidden,
                                                 &init_rng);
   nn::Adam::Options adam;
   adam.lr = options.lr;
@@ -129,7 +130,7 @@ void PpoAgent::ComputeAdvantages(double last_value,
   for (size_t i = n; i-- > 0;) {
     const double delta = buffer_[i].reward +
                          options_.gamma * next_value - buffer_[i].value;
-    next_adv = delta + options_.gamma * options_.gae_lambda * next_adv;
+    next_adv = delta + options_.gamma * kGaeLambda * next_adv;
     (*advantages)[i] = next_adv;
     next_value = buffer_[i].value;
     (*returns)[i] = (*advantages)[i] + buffer_[i].value;
@@ -204,7 +205,7 @@ double PpoAgent::Update(const Tensor& last_value_obs) {
 
       Variable total = ops::Add(
           actor_loss,
-          ops::Sub(ops::Scale(value_loss, options_.value_coef),
+          ops::Sub(ops::Scale(value_loss, kValueCoef),
                    ops::Scale(entropy, options_.entropy_coef)));
       // Average gradients over the rollout: scale each step's contribution.
       ops::Scale(total, inv_steps).Backward();

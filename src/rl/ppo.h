@@ -23,14 +23,13 @@
 namespace graphrare {
 namespace rl {
 
-/// PPO hyper-parameters.
+/// PPO hyper-parameters. The policy's hidden width 64, GAE λ = 0.95 and
+/// the value-loss coefficient 0.5 are SB3 defaults the paper leaves
+/// untuned; they are constants in ppo.cc.
 struct PpoOptions {
-  int64_t hidden = 64;
   float lr = 3e-4f;
   float clip = 0.2f;
   float gamma = 0.99f;
-  float gae_lambda = 0.95f;
-  float value_coef = 0.5f;
   float entropy_coef = 0.01f;
   int update_epochs = 4;
   /// Steps collected between updates (rollout length).

@@ -110,7 +110,6 @@ Result<std::vector<Prediction>> InferenceEngine::PredictWithSeed(
     seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
     data::SamplerOptions so;
     so.fanouts = options_.fanouts;
-    so.replace = options_.sample_replace;
     so.seed = RequestSeed(options_.seed, request_seed);
     data::NeighborSampler sampler(&artifact_.graph, so);
     const graph::Subgraph block = sampler.SampleBlock(seeds);

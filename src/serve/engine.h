@@ -38,10 +38,9 @@ namespace serve {
 /// Inference configuration.
 struct EngineOptions {
   /// Per-layer sampling fanouts. Empty = full-graph inference (exact).
-  /// -1 entries mean unlimited fanout at that layer.
+  /// -1 entries mean unlimited fanout at that layer. Neighbors are drawn
+  /// without replacement.
   std::vector<int64_t> fanouts;
-  /// Sample neighbors with replacement (see data::SamplerOptions).
-  bool sample_replace = false;
   /// Base seed for the per-request sampling streams.
   uint64_t seed = 1;
 

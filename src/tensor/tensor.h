@@ -121,9 +121,6 @@ class Tensor {
     t.data_ = internal::PoolAcquireRaw(static_cast<size_t>(rows * cols));
     return t;
   }
-  static Tensor Ones(int64_t rows, int64_t cols) {
-    return Full(rows, cols, 1.0f);
-  }
   static Tensor Full(int64_t rows, int64_t cols, float v) {
     Tensor t(rows, cols);
     t.Fill(v);
@@ -132,11 +129,6 @@ class Tensor {
   /// 1x1 scalar tensor.
   static Tensor Scalar(float v) { return Full(1, 1, v); }
   /// Identity matrix.
-  static Tensor Eye(int64_t n) {
-    Tensor t(n, n);
-    for (int64_t i = 0; i < n; ++i) t.at(i, i) = 1.0f;
-    return t;
-  }
   /// Takes ownership of `data` (must have rows*cols elements).
   static Tensor FromData(int64_t rows, int64_t cols, std::vector<float> data) {
     GR_CHECK_EQ(static_cast<int64_t>(data.size()), rows * cols);
@@ -147,10 +139,6 @@ class Tensor {
     return t;
   }
   /// Column vector (n x 1) from data.
-  static Tensor ColumnVector(std::vector<float> data) {
-    const int64_t n = static_cast<int64_t>(data.size());
-    return FromData(n, 1, std::move(data));
-  }
   /// I.i.d. N(0, stddev^2) entries.
   static Tensor Randn(int64_t rows, int64_t cols, Rng* rng,
                       float stddev = 1.0f);
@@ -165,7 +153,6 @@ class Tensor {
   int64_t rows() const { return rows_; }
   int64_t cols() const { return cols_; }
   int64_t numel() const { return rows_ * cols_; }
-  bool empty() const { return numel() == 0; }
   bool is_scalar() const { return rows_ == 1 && cols_ == 1; }
   bool SameShape(const Tensor& o) const {
     return rows_ == o.rows_ && cols_ == o.cols_;

@@ -39,8 +39,8 @@ TEST(AutogradTest, AddGradientsBothParents) {
   Variable b = Leaf(Tensor::Full(2, 2, 2.0f));
   Variable loss = ops::SumAll(ops::Add(a, b));
   loss.Backward();
-  EXPECT_TRUE(AllClose(a.grad(), Tensor::Ones(2, 2)));
-  EXPECT_TRUE(AllClose(b.grad(), Tensor::Ones(2, 2)));
+  EXPECT_TRUE(AllClose(a.grad(), Tensor::Full(2, 2, 1.0f)));
+  EXPECT_TRUE(AllClose(b.grad(), Tensor::Full(2, 2, 1.0f)));
 }
 
 TEST(AutogradTest, GradAccumulatesAcrossUses) {
@@ -330,7 +330,7 @@ TEST(DropoutTest, ZeroProbabilityIsIdentity) {
 
 TEST(DropoutTest, MaskZerosAndRescales) {
   Rng rng(23);
-  Variable x = Leaf(Tensor::Ones(50, 50));
+  Variable x = Leaf(Tensor::Full(50, 50, 1.0f));
   Variable y = ops::Dropout(x, 0.5f, /*training=*/true, &rng);
   int64_t zeros = 0;
   for (int64_t i = 0; i < y.value().numel(); ++i) {
@@ -343,7 +343,7 @@ TEST(DropoutTest, MaskZerosAndRescales) {
 
 TEST(DropoutTest, GradientFollowsMask) {
   Rng rng(24);
-  Variable x = Leaf(Tensor::Ones(10, 10));
+  Variable x = Leaf(Tensor::Full(10, 10, 1.0f));
   Variable y = ops::Dropout(x, 0.3f, /*training=*/true, &rng);
   ops::SumAll(y).Backward();
   for (int64_t i = 0; i < x.grad().numel(); ++i) {
@@ -360,13 +360,13 @@ TEST(DropoutTest, GradientFollowsMask) {
 // ---- Shape-mismatch death tests -------------------------------------------
 
 TEST(AutogradDeathTest, BackwardOnMatrixAborts) {
-  Variable x = Leaf(Tensor::Ones(2, 2));
+  Variable x = Leaf(Tensor::Full(2, 2, 1.0f));
   EXPECT_DEATH(x.Backward(), "scalar root");
 }
 
 TEST(AutogradDeathTest, AddShapeMismatchAborts) {
-  Variable a = Leaf(Tensor::Ones(2, 2));
-  Variable b = Leaf(Tensor::Ones(2, 3));
+  Variable a = Leaf(Tensor::Full(2, 2, 1.0f));
+  Variable b = Leaf(Tensor::Full(2, 3, 1.0f));
   EXPECT_DEATH(ops::Add(a, b), "shape mismatch");
 }
 

@@ -14,6 +14,8 @@
 //  * RunGraphRareBlocks hands back the block path's telemetry in the
 //    shared GraphRareResult, and RunBlockCoTraining aborts on the ablation
 //    knobs it does not implement.
+//  * A seeded RunBlockCoTraining run is pinned across commits and across
+//    OpenMP thread counts by a digest of its result bytes.
 //  * End-to-end: block-scoped co-training completes in seconds on a
 //    10k-node graph, a scale where full-graph episodes are slow
 //    (full-graph per-step cost grows with the whole adjacency).
@@ -22,6 +24,11 @@
 
 #include <cmath>
 #include <map>
+#include <string>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "core/graphrare.h"
 #include "full_graph_reference.h"
@@ -206,7 +213,7 @@ TEST(EditMergerTest, LastWriterWinsPerNode) {
   EXPECT_TRUE(merged.HasEdge(0, 4));
   EXPECT_TRUE(merged.HasEdge(0, 1));   // removal was overwritten
   EXPECT_FALSE(merged.HasEdge(0, 3));  // addition was overwritten
-  EXPECT_EQ(merger.num_nodes_recorded(), 1);
+  EXPECT_EQ(merger.round_stats().nodes_recorded, 1);
 
   // An empty record still claims ownership and erases earlier edits.
   merger.Record(0, NodeEdits{});
@@ -529,7 +536,7 @@ TEST(BlockRolloutRunnerTest, SampledBlocksStayLocalAndMerge) {
 
   const graph::Graph merged = runner.MergedGraph();
   EXPECT_EQ(merged.num_nodes(), ds.num_nodes());
-  EXPECT_GT(runner.merger().num_nodes_recorded(), 0);
+  EXPECT_GT(stats.conflicts.nodes_recorded, 0);
   // A second round keeps accumulating (later rounds may overwrite nodes).
   const BlockRolloutRunner::RoundStats stats2 = runner.RunRound(&agent);
   EXPECT_EQ(stats2.num_blocks, 3);
@@ -634,6 +641,78 @@ TEST(BlockRolloutEndToEndTest, RunGraphRareBlocksLastRunCarriesTelemetry) {
   EXPECT_DOUBLE_EQ(agg.mean_initial_homophily, ds.Homophily());
   ASSERT_NE(last.model, nullptr);
   EXPECT_TRUE(last.ExportArtifact(ds).ok());
+}
+
+// ---- Cross-commit pin ------------------------------------------------------
+
+/// A small seeded block co-training run at the default dropout: SAGE,
+/// two sampled blocks per round, three rounds of two-step episodes.
+core::GraphRareResult PinnedBlockRun() {
+  const data::Dataset ds = MakeSparseDataset(23);
+  data::SplitOptions so;
+  so.num_splits = 1;
+  const auto splits = data::MakeSplits(ds.labels, ds.num_classes, so);
+  core::GraphRareOptions opts;
+  opts.backbone = nn::BackboneKind::kSage;
+  opts.hidden = 12;
+  opts.entropy.max_two_hop_candidates = 6;
+  opts.entropy.num_random_candidates = 2;
+  opts.iterations = 3;
+  opts.pretrain_epochs = 3;
+  opts.ppo.steps_per_update = 4;
+  opts.ppo.update_epochs = 2;
+  opts.seed = 31;
+  BlockRolloutOptions ro;
+  ro.blocks_per_round = 2;
+  ro.seeds_per_block = 24;
+  ro.fanouts = {4, 4};
+  ro.steps_per_episode = 2;
+  ro.env.gnn_epochs_per_step = 1;
+  return core::RunBlockCoTraining(ds, splits[0], opts, ro);
+}
+
+std::string BlockResultDigest(const core::GraphRareResult& r) {
+  testing_ref::BitDigest d;
+  d.AddDoubles(r.reward_history);
+  d.AddDoubles(r.train_acc_history);
+  d.AddDoubles(r.val_acc_history);
+  d.AddDoubles(r.homophily_history);
+  d.AddEdges(r.best_graph.edges());
+  d.AddDouble(r.best_val_accuracy);
+  d.AddDouble(r.test_accuracy);
+  d.AddDouble(r.final_homophily);
+  for (const auto& [name, t] : r.model->StateDict()) {
+    d.AddBytes(name.data(), name.size());
+    d.AddTensor(t);
+  }
+  return d.Hex();
+}
+
+// Histories, the merged graph, test accuracy and the final backbone
+// weights of a seeded block co-training run, hashed bit for bit and
+// compared against a value recorded at an earlier commit. The run is
+// repeated at 1 and 4 OpenMP threads: both must give the recorded bytes.
+constexpr char kBlockRunDigest[] = "d64f4eba3a3a978b";
+
+void ExpectPinnedBlockRun(int threads) {
+  const core::GraphRareResult r = PinnedBlockRun();
+  // The selected graph is a rewired one, so the pin covers the merge.
+  EXPECT_NE(r.final_homophily, r.initial_homophily);
+  EXPECT_EQ(BlockResultDigest(r), kBlockRunDigest)
+      << threads << " thread(s)";
+}
+
+TEST(BlockCoTrainPinTest, SeededRunIsPinnedAtOneAndFourThreads) {
+#ifdef _OPENMP
+  const int old_threads = omp_get_max_threads();
+  for (const int threads : {1, 4}) {
+    omp_set_num_threads(threads);
+    ExpectPinnedBlockRun(threads);
+  }
+  omp_set_num_threads(old_threads);
+#else
+  ExpectPinnedBlockRun(1);
+#endif
 }
 
 // The block path has no Table V / Fig. 5 switches yet: each ablation knob

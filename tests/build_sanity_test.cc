@@ -28,7 +28,8 @@ TEST(BuildSanity, LinksEveryModuleLibrary) {
 
   // tensor (tensor.cc)
   const tensor::Tensor product =
-      tensor::MatMul(tensor::Tensor::Eye(3), tensor::Tensor::Ones(3, 2));
+      tensor::MatMul(tensor::Tensor::Full(3, 3, 1.0f),
+                     tensor::Tensor::Full(3, 2, 1.0f));
   EXPECT_EQ(product.rows(), 3);
   EXPECT_EQ(product.cols(), 2);
 
@@ -51,7 +52,7 @@ TEST(BuildSanity, LinksEveryModuleLibrary) {
   gen.num_features = 16;
   gen.num_classes = 2;
   const auto dataset = data::GenerateDataset(gen);
-  ASSERT_TRUE(dataset.ok()) << dataset.status();
+  ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
   EXPECT_EQ(dataset->graph.num_nodes(), 24);
 
   // nn (models.cc)

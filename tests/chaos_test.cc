@@ -756,6 +756,7 @@ TEST_F(ChaosServerTest, DeadlineExpiryShedsWith503AndRetryAfter) {
   ASSERT_TRUE(client.ReadResponse(&r));
   EXPECT_EQ(r.status, 200);
   EXPECT_EQ(r.body, ExpectedPredictBody({0, 1}));  // byte-exact despite chaos
+  const std::string no_header_body = r.body;
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(client.ReadResponse(&r)) << "shed response " << i;
     EXPECT_EQ(r.status, 503);
@@ -772,12 +773,24 @@ TEST_F(ChaosServerTest, DeadlineExpiryShedsWith503AndRetryAfter) {
       r.body.find("graphrare_requests_shed_total{route=\"/v1/predict\"} 4"),
       std::string::npos);
 
-  // Malformed X-Deadline-Ms is a client error, not a silent default.
-  client.RequestWithHeaders("POST", "/v1/predict",
-                            {{"X-Deadline-Ms", "soon"}},
-                            "{\"nodes\":[0]}");
-  ASSERT_TRUE(client.ReadResponse(&r));
-  EXPECT_EQ(r.status, 400);
+  // Malformed X-Deadline-Ms is a client error, not a silent default;
+  // strtod parses "nan", which is not positive either.
+  for (const char* bad : {"soon", "nan", "0", "-1"}) {
+    client.RequestWithHeaders("POST", "/v1/predict",
+                              {{"X-Deadline-Ms", bad}}, "{\"nodes\":[0]}");
+    ASSERT_TRUE(client.ReadResponse(&r)) << bad;
+    EXPECT_EQ(r.status, 400) << bad;
+  }
+  // Any positive value, "inf" included, is clamped to the server's
+  // ceiling and answered exactly as without the header.
+  for (const char* huge : {"inf", "1e308"}) {
+    client.RequestWithHeaders("POST", "/v1/predict",
+                              {{"X-Deadline-Ms", huge}},
+                              "{\"nodes\":[0,1]}");
+    ASSERT_TRUE(client.ReadResponse(&r)) << huge;
+    EXPECT_EQ(r.status, 200) << huge;
+    EXPECT_EQ(r.body, no_header_body) << huge;
+  }
 }
 
 // ---- Client-gone accounting ----------------------------------------------

@@ -235,7 +235,7 @@ TEST(FeatureEntropyTest, EntropiesPositive) {
 }
 
 TEST(FeatureEntropyTest, EmptyPairsGiveEmpty) {
-  tensor::Tensor z = tensor::Tensor::Ones(3, 3);
+  tensor::Tensor z = tensor::Tensor::Full(3, 3, 1.0f);
   EXPECT_TRUE(FeatureEntropyForPairs(z, {}).empty());
 }
 

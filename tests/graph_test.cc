@@ -96,7 +96,7 @@ TEST(GraphTest, NormalizedAdjacencyRowsSumCorrectly) {
 TEST(GraphTest, RowNormalizedAdjacencySums) {
   Graph g = Square();
   auto rn = g.RowNormalizedAdjacency();
-  tensor::Tensor ones = tensor::Tensor::Ones(4, 1);
+  tensor::Tensor ones = tensor::Tensor::Full(4, 1, 1.0f);
   tensor::Tensor sums = rn->SpMM(ones);
   for (int64_t v = 0; v < 4; ++v) {
     EXPECT_NEAR(sums.at(v, 0), 1.0f, 1e-6);
@@ -106,7 +106,7 @@ TEST(GraphTest, RowNormalizedAdjacencySums) {
 TEST(GraphTest, IsolatedNodeRowNormalizedIsZero) {
   Graph g = Graph::FromEdgeListOrDie(3, {{0, 1}});
   auto rn = g.RowNormalizedAdjacency();
-  tensor::Tensor ones = tensor::Tensor::Ones(3, 1);
+  tensor::Tensor ones = tensor::Tensor::Full(3, 1, 1.0f);
   tensor::Tensor sums = rn->SpMM(ones);
   EXPECT_NEAR(sums.at(2, 0), 0.0f, 1e-6);
 }

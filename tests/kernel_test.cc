@@ -821,6 +821,12 @@ TEST(DropoutMaskTest, GatAttentionDropoutMatchesBernoulliLoopBitwise) {
 
 // --------------------------------------------------------------------- adam
 
+// Adam's library-default moments and epsilon, written out here so the
+// reference does not read them from src/.
+constexpr float kRefBeta1 = 0.9f;
+constexpr float kRefBeta2 = 0.999f;
+constexpr float kRefEps = 1e-8f;
+
 /// One Adam update of one element, written as Adam::Step's loop body. Kept
 /// out of line so the reference loop below stays scalar whatever the
 /// compiler does with Step's.
@@ -828,11 +834,11 @@ TEST(DropoutMaskTest, GatAttentionDropoutMatchesBernoulliLoopBitwise) {
                                       float bc2, float g, float* w, float* m,
                                       float* v) {
   const float grad = g + o.weight_decay * *w;
-  *m = o.beta1 * *m + (1.0f - o.beta1) * grad;
-  *v = o.beta2 * *v + (1.0f - o.beta2) * grad * grad;
+  *m = kRefBeta1 * *m + (1.0f - kRefBeta1) * grad;
+  *v = kRefBeta2 * *v + (1.0f - kRefBeta2) * grad * grad;
   const float m_hat = *m / bc1;
   const float v_hat = *v / bc2;
-  *w -= o.lr * m_hat / (std::sqrt(v_hat) + o.eps);
+  *w -= o.lr * m_hat / (std::sqrt(v_hat) + kRefEps);
 }
 
 TEST(AdamStepTest, MatchesScalarReferenceBitwise) {
@@ -863,8 +869,8 @@ TEST(AdamStepTest, MatchesScalarReferenceBitwise) {
       ASSERT_FALSE(params[1].has_grad());
       adam.Step();
 
-      const float bc1 = 1.0f - std::pow(opts.beta1, static_cast<float>(step));
-      const float bc2 = 1.0f - std::pow(opts.beta2, static_cast<float>(step));
+      const float bc1 = 1.0f - std::pow(kRefBeta1, static_cast<float>(step));
+      const float bc2 = 1.0f - std::pow(kRefBeta2, static_cast<float>(step));
       for (size_t k = 0; k < params.size(); ++k) {
         if (k == 1) continue;
         for (size_t j = 0; j < w[k].size(); ++j) {

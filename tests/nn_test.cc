@@ -31,7 +31,8 @@ TEST(ModuleTest, ParameterRegistryCollectsChildren) {
   Rng rng(1);
   Linear outer(4, 3, &rng);
   EXPECT_EQ(outer.Parameters().size(), 2u);  // W + b
-  EXPECT_EQ(outer.NumParameters(), 4 * 3 + 3);
+  EXPECT_EQ(outer.Parameters()[0].value().numel(), 4 * 3);
+  EXPECT_EQ(outer.Parameters()[1].value().numel(), 3);
   const auto named = outer.NamedParameters();
   EXPECT_EQ(named[0].first, "weight");
   EXPECT_EQ(named[1].first, "bias");
@@ -40,7 +41,7 @@ TEST(ModuleTest, ParameterRegistryCollectsChildren) {
 TEST(ModuleTest, ZeroGradClearsAll) {
   Rng rng(2);
   Linear lin(3, 2, &rng);
-  Variable x(Tensor::Ones(4, 3), false);
+  Variable x(Tensor::Full(4, 3, 1.0f), false);
   ops::SumAll(lin.Forward(x)).Backward();
   EXPECT_TRUE(lin.Parameters()[0].has_grad());
   EXPECT_GT(MaxAbs(lin.Parameters()[0].grad()), 0.0f);
@@ -52,8 +53,8 @@ TEST(LinearTest, ForwardMatchesManual) {
   Rng rng(3);
   Linear lin(2, 2, &rng);
   Variable x(Tensor::FromData(1, 2, {1.0f, 2.0f}), false);
-  const Tensor& w = lin.weight().value();
-  const Tensor& b = lin.bias().value();
+  const Tensor& w = lin.Parameters()[0].value();  // weight, then bias
+  const Tensor& b = lin.Parameters()[1].value();
   Tensor y = lin.Forward(x).value();
   EXPECT_NEAR(y.at(0, 0), w.at(0, 0) + 2 * w.at(1, 0) + b.at(0, 0), 1e-5);
   EXPECT_NEAR(y.at(0, 1), w.at(0, 1) + 2 * w.at(1, 1) + b.at(0, 1), 1e-5);
@@ -85,8 +86,10 @@ TEST(LinearTest, SparseForwardGradMatchesDense) {
       2, 3, {{0, 0, 1.0f}, {0, 2, 2.0f}, {1, 1, 3.0f}}));
   ops::SumAll(ops::Square(lin_a.Forward(Variable(x, false)))).Backward();
   ops::SumAll(ops::Square(lin_b.ForwardSparse(csr))).Backward();
-  EXPECT_TRUE(AllClose(lin_a.weight().grad(), lin_b.weight().grad()));
-  EXPECT_TRUE(AllClose(lin_a.bias().grad(), lin_b.bias().grad()));
+  for (size_t i = 0; i < 2; ++i) {  // weight, bias
+    EXPECT_TRUE(AllClose(lin_a.Parameters()[i].grad(),
+                         lin_b.Parameters()[i].grad()));
+  }
 }
 
 // ---- GNN layers -------------------------------------------------------------
@@ -98,7 +101,7 @@ TEST(GcnConvTest, UniformFeaturesStayUniform) {
       graph::Graph::FromEdgeListOrDie(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
   Rng rng(6);
   GCNConv conv(3, 2, &rng);
-  Variable x(Tensor::Ones(4, 3), false);
+  Variable x(Tensor::Full(4, 3, 1.0f), false);
   Tensor y = conv.Forward(ring, LayerInput::Dense(x)).value();
   for (int64_t v = 1; v < 4; ++v) {
     for (int64_t c = 0; c < 2; ++c) {
@@ -156,7 +159,7 @@ TEST(GatConvTest, AttentionIsConvexCombination) {
   graph::Graph g = TestGraph();
   Rng rng(13);
   GATConv conv(3, 4, 1, &rng);
-  Variable x(Tensor::Ones(6, 3), false);
+  Variable x(Tensor::Full(6, 3, 1.0f), false);
   Tensor y = conv.Forward(g, LayerInput::Dense(x), false, nullptr).value();
   for (int64_t v = 1; v < 6; ++v) {
     for (int64_t c = 0; c < 4; ++c) {

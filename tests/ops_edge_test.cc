@@ -55,7 +55,7 @@ TEST(OpsEdgeTest, ConcatSingleInputIsCopy) {
   Variable y = ops::ConcatCols({x});
   EXPECT_TRUE(AllClose(y.value(), x.value()));
   ops::SumAll(y).Backward();
-  EXPECT_TRUE(AllClose(x.grad(), Tensor::Ones(3, 4)));
+  EXPECT_TRUE(AllClose(x.grad(), Tensor::Full(3, 4, 1.0f)));
 }
 
 TEST(OpsEdgeTest, GatherRowsEmptyIndex) {
@@ -92,7 +92,7 @@ TEST(OpsEdgeTest, MinTieGradientGoesToFirst) {
 
 TEST(OpsEdgeTest, HighDropoutStillUnbiased) {
   Rng rng(3);
-  Variable x = Leaf(Tensor::Ones(100, 100));
+  Variable x = Leaf(Tensor::Full(100, 100, 1.0f));
   Variable y = ops::Dropout(x, 0.9f, true, &rng);
   // E[y] = 1; with 10k samples the mean is close.
   EXPECT_NEAR(y.value().Mean(), 1.0f, 0.1f);
@@ -116,7 +116,7 @@ TEST(OpsEdgeTest, NllLossSingleRow) {
 }
 
 TEST(OpsEdgeTest, ScatterAddAllToOneRow) {
-  Variable x = Leaf(Tensor::Ones(4, 2));
+  Variable x = Leaf(Tensor::Full(4, 2, 1.0f));
   Variable y = ref::ScatterAddRows(x, {1, 1, 1, 1}, 3);
   EXPECT_FLOAT_EQ(y.value().at(1, 0), 4.0f);
   EXPECT_FLOAT_EQ(y.value().at(0, 0), 0.0f);
@@ -128,7 +128,7 @@ TEST(OpsEdgeTest, ScatterAddAllToOneRow) {
 }
 
 TEST(OpsEdgeTest, RowScaleByZeroKillsGradientToX) {
-  Variable x = Leaf(Tensor::Ones(2, 3));
+  Variable x = Leaf(Tensor::Full(2, 3, 1.0f));
   Variable s = Leaf(Tensor::FromData(2, 1, {0.0f, 2.0f}));
   ops::SumAll(ref::RowScale(x, s)).Backward();
   EXPECT_FLOAT_EQ(x.grad().at(0, 0), 0.0f);

@@ -17,7 +17,7 @@ using tensor::Tensor;
 TEST(PolicyTest, OutputShapes) {
   Rng rng(1);
   ActorCriticPolicy policy(6, 16, &rng);
-  tensor::Variable obs(Tensor::Ones(10, 6), false);
+  tensor::Variable obs(Tensor::Full(10, 6, 1.0f), false);
   PolicyOutput out = policy.Forward(obs);
   EXPECT_EQ(out.k_logits.value().rows(), 10);
   EXPECT_EQ(out.k_logits.value().cols(), kNumActionChoices);
@@ -149,13 +149,13 @@ class AlwaysIncreaseBandit : public Env {
   explicit AlwaysIncreaseBandit(int64_t components)
       : components_(components) {}
 
-  Tensor Reset() override { return Tensor::Ones(components_, obs_dim()); }
+  Tensor Reset() override { return Tensor::Full(components_, obs_dim(), 1.0f); }
 
   double Step(const ActionSample& action, Tensor* next_obs) override {
     double reward = 0.0;
     for (int v : action.delta_k) reward += v;
     reward /= static_cast<double>(components_);
-    *next_obs = Tensor::Ones(components_, obs_dim());
+    *next_obs = Tensor::Full(components_, obs_dim(), 1.0f);
     return reward;
   }
 

@@ -255,7 +255,7 @@ TEST(ArtifactTest, LoadRejectsHugeHeaderCountsWithoutAllocating) {
   put_f32(0.1f), put_u32(1), put_u64(1);  // appnp alpha/iters, model seed
   put_u64(1);                      // run seed
   put_u64(0);                      // empty dataset name
-  put_u32(Crc32::Of(bytes.data(), bytes.size()));  // valid meta checksum
+  put_u32(Crc32::Update(0, bytes.data(), bytes.size()));  // valid meta checksum
   put_i64(1LL << 60);              // num_nodes: absurd
   put_i64(1LL << 60);              // num_edges: absurd
   std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
@@ -307,7 +307,7 @@ TEST(ArtifactTest, LoadRejectsNonMonotonicFeatureRowPtr) {
   const int64_t corrupted = 1;
   std::memcpy(&bytes[first_row_ptr_entry], &corrupted, sizeof(corrupted));
   const uint32_t crc =
-      Crc32::Of(bytes.data() + features_start, features_len);
+      Crc32::Update(0, bytes.data() + features_start, features_len);
   std::memcpy(&bytes[features_start + features_len], &crc, sizeof(crc));
   std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
   auto r = serve::ModelArtifact::Load(path);

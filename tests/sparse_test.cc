@@ -63,7 +63,7 @@ TEST(CsrTest, UnsortedInputSorted) {
 TEST(CsrTest, EmptyMatrix) {
   CsrMatrix m = CsrMatrix::FromCoo(3, 3, {});
   EXPECT_EQ(m.nnz(), 0);
-  Tensor x = Tensor::Ones(3, 2);
+  Tensor x = Tensor::Full(3, 2, 1.0f);
   Tensor y = m.SpMM(x);
   EXPECT_TRUE(AllClose(y, Tensor::Zeros(3, 2)));
 }
