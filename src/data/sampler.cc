@@ -117,20 +117,23 @@ graph::Subgraph NeighborSampler::SampleBlockAt(
   };
   std::vector<int64_t> node_set;
   node_set.reserve(seeds.size() * 4);
-  std::vector<int64_t> frontier;
-  frontier.reserve(seeds.size());
+  // Each layer is built in place in layers_ and expanded from there; the
+  // reserve keeps the frontier reference valid while the next layer is
+  // appended.
+  layers_.clear();
+  layers_.reserve(options_.fanouts.size() + 1);
+  layers_.emplace_back();
+  layers_.back().reserve(seeds.size());
   for (const int64_t s : seeds) {
     GR_CHECK(s >= 0 && s < n) << "SampleBlock: seed " << s << " out of range";
     GR_CHECK(!in_set(s)) << "SampleBlock: duplicate seed " << s;
     mark_[static_cast<size_t>(s)] = version;
     node_set.push_back(s);
-    frontier.push_back(s);
+    layers_.back().push_back(s);
   }
 
-  layers_.clear();
-  layers_.push_back(frontier);
-
   for (size_t layer = 0; layer < options_.fanouts.size(); ++layer) {
+    const std::vector<int64_t>& frontier = layers_.back();
     if (frontier.empty()) {
       layers_.emplace_back();  // record the empty expansion and keep going
       continue;
@@ -163,7 +166,6 @@ graph::Subgraph NeighborSampler::SampleBlockAt(
       }
     }
     std::sort(next.begin(), next.end());
-    frontier = next;
     layers_.push_back(std::move(next));
   }
 

@@ -7,7 +7,9 @@
 #define GRAPHRARE_NN_LINEAR_H_
 
 #include <memory>
+#include <utility>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "nn/module.h"
 #include "tensor/ops.h"
@@ -29,6 +31,13 @@ class Linear : public Module {
     }
   }
 
+  /// A biased layer over a given (in, out) weight; the bias starts at zero.
+  explicit Linear(tensor::Tensor weight) : use_bias_(true) {
+    const int64_t out_features = weight.cols();
+    weight_ = RegisterParameter("weight", std::move(weight));
+    bias_ = RegisterParameter("bias", tensor::Tensor::Zeros(1, out_features));
+  }
+
   tensor::Variable Forward(const tensor::Variable& x) const {
     tensor::Variable y = tensor::ops::MatMul(x, weight_);
     if (use_bias_) y = tensor::ops::AddBias(y, bias_);
@@ -41,6 +50,13 @@ class Linear : public Module {
   tensor::Variable ForwardRelu(const tensor::Variable& x) const {
     if (!use_bias_) return tensor::ops::Relu(Forward(x));
     return tensor::ops::AddBiasRelu(tensor::ops::MatMul(x, weight_), bias_);
+  }
+
+  /// y = tanh(x W + b) as one tape node (ops::LinearTanh): same bits as
+  /// the MatMul -> AddBias -> Tanh chain.
+  tensor::Variable ForwardTanh(const tensor::Variable& x) const {
+    GR_CHECK(use_bias_) << "ForwardTanh needs a bias";
+    return tensor::ops::LinearTanh(x, weight_, bias_);
   }
 
   /// Sparse-input forward: y = X_sparse W + b. Gradients flow into W only

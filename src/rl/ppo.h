@@ -58,6 +58,18 @@ struct Transition {
   double reward = 0.0;
 };
 
+/// One rollout step's PPO loss as a single tape node over the policy
+/// head's (N, kHeadWidth) output: the clipped surrogate (per-node or joint
+/// ratio, per options.joint_ratio), plus 0.5 times the squared error of
+/// the state value against `value_target`, minus entropy_coef times the
+/// summed mean entropies of both heads; all times `weight`. Its backward
+/// writes d(loss)/d(head), formed serially in the forward pass, straight
+/// into the head's gradient. `actor_loss` receives the unweighted
+/// surrogate term.
+tensor::Variable PpoStepLoss(const tensor::Variable& head, const Transition& t,
+                             float advantage, float value_target, float weight,
+                             const PpoOptions& options, float* actor_loss);
+
 /// PPO agent: act / store-reward / update cycle driven by the co-training
 /// loop. Owns the policy network and its optimizer.
 class PpoAgent {

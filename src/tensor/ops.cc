@@ -77,24 +77,6 @@ Variable Sub(const Variable& a, const Variable& b) {
   });
 }
 
-Variable Mul(const Variable& a, const Variable& b) {
-  GR_CHECK(a.value().SameShape(b.value()));
-  Tensor out = a.value();
-  out.MulInPlace(b.value());
-  return MakeOpNode(std::move(out), {a, b}, [](AutogradNode* n) {
-    if (n->parents[0]->requires_grad) {
-      Tensor d = n->grad;
-      d.MulInPlace(n->parents[1]->value);
-      Accumulate(n->parents[0], d);
-    }
-    if (n->parents[1]->requires_grad) {
-      Tensor d = n->grad;
-      d.MulInPlace(n->parents[0]->value);
-      Accumulate(n->parents[1], d);
-    }
-  });
-}
-
 Variable AddBias(const Variable& a, const Variable& bias) {
   GR_CHECK_EQ(bias.value().rows(), 1);
   GR_CHECK_EQ(bias.value().cols(), a.value().cols());
@@ -188,10 +170,6 @@ Variable Scale(const Variable& a, float c) {
   });
 }
 
-Variable Neg(const Variable& a) { return Scale(a, -1.0f); }
-
-Variable Square(const Variable& a) { return Mul(a, a); }
-
 Variable MatMul(const Variable& a, const Variable& b) {
   Tensor out = tensor::MatMul(a.value(), b.value());
   return MakeOpNode(std::move(out), {a, b}, [](AutogradNode* n) {
@@ -204,6 +182,40 @@ Variable MatMul(const Variable& a, const Variable& b) {
       Accumulate(n->parents[1],
                  tensor::MatMulTransA(n->parents[0]->value, n->grad));
     }
+  });
+}
+
+Variable LinearTanh(const Variable& x, const Variable& w, const Variable& b) {
+  GR_CHECK_EQ(b.value().rows(), 1);
+  GR_CHECK_EQ(b.value().cols(), w.value().cols());
+  Tensor out = tensor::MatMul(x.value(), w.value());
+  const float* pb = b.value().data();
+  const int64_t cols = out.cols();
+  float* po = out.data();
+  for (int64_t r = 0; r < out.rows(); ++r) {
+    for (int64_t c = 0; c < cols; ++c) po[r * cols + c] += pb[c];
+  }
+  TanhInPlace(po, out.numel());
+  return MakeOpNode(std::move(out), {x, w, b}, [](AutogradNode* n) {
+    // The chain's Tanh backward, d = g * (1 - y^2). The chain then added d
+    // into two zeroed grad buffers, turning a -0 into +0; every reduction
+    // below starts from +0 as well, so a -0 in d reaches no output.
+    const float* py = n->value.data();
+    const float* pg = n->grad.data();
+    Tensor d = Tensor::Uninitialized(n->value.rows(), n->value.cols());
+    float* pd = d.data();
+    for (int64_t i = 0; i < d.numel(); ++i) {
+      pd[i] = pg[i] * (1.0f - py[i] * py[i]);
+    }
+    if (n->parents[0]->requires_grad) {
+      Accumulate(n->parents[0],
+                 tensor::MatMulTransB(d, n->parents[1]->value));
+    }
+    if (n->parents[1]->requires_grad) {
+      Accumulate(n->parents[1],
+                 tensor::MatMulTransA(n->parents[0]->value, d));
+    }
+    if (n->parents[2]->requires_grad) Accumulate(n->parents[2], ColSum(d));
   });
 }
 
@@ -258,29 +270,10 @@ Variable Elu(const Variable& a, float alpha) {
       [alpha](float x, float y) { return x > 0.0f ? 1.0f : y + alpha; });
 }
 
-Variable Tanh(const Variable& a) {
-  Tensor out = a.value();
-  TanhInPlace(out.data(), out.numel());
-  return MakeOpNode(std::move(out), {a}, [](AutogradNode* n) {
-    if (!n->parents[0]->requires_grad) return;
-    const float* py = n->value.data();
-    Tensor d = n->grad;
-    float* pd = d.data();
-    for (int64_t i = 0; i < d.numel(); ++i) pd[i] *= 1.0f - py[i] * py[i];
-    Accumulate(n->parents[0], d);
-  });
-}
-
 Variable Sigmoid(const Variable& a) {
   return UnaryElementwise(
       a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
       [](float, float y) { return y * (1.0f - y); });
-}
-
-Variable Exp(const Variable& a) {
-  return UnaryElementwise(
-      a, [](float x) { return std::exp(x); },
-      [](float, float y) { return y; });
 }
 
 Variable Dropout(const Variable& a, float p, bool training, Rng* rng) {
@@ -298,75 +291,6 @@ Variable Dropout(const Variable& a, float p, bool training, Rng* rng) {
                       d.MulInPlace(mask);
                       Accumulate(n->parents[0], d);
                     });
-}
-
-Variable LogSoftmaxRows(const Variable& a) {
-  const Tensor& x = a.value();
-  Tensor out(x.rows(), x.cols());
-  for (int64_t r = 0; r < x.rows(); ++r) {
-    const float* px = x.row(r);
-    float* po = out.row(r);
-    float mx = -std::numeric_limits<float>::infinity();
-    for (int64_t c = 0; c < x.cols(); ++c) mx = std::max(mx, px[c]);
-    double lse = 0.0;
-    for (int64_t c = 0; c < x.cols(); ++c) lse += std::exp(px[c] - mx);
-    const float log_z = mx + static_cast<float>(std::log(lse));
-    for (int64_t c = 0; c < x.cols(); ++c) po[c] = px[c] - log_z;
-  }
-  Tensor saved = out;
-  return MakeOpNode(
-      std::move(out), {a}, [saved = std::move(saved)](AutogradNode* n) {
-        if (!n->parents[0]->requires_grad) return;
-        // dX = G - softmax(x) * rowsum(G)
-        Tensor d = n->grad;
-        for (int64_t r = 0; r < d.rows(); ++r) {
-          const float* pg = n->grad.row(r);
-          const float* plp = saved.row(r);
-          float* pd = d.row(r);
-          float gsum = 0.0f;
-          for (int64_t c = 0; c < d.cols(); ++c) gsum += pg[c];
-          for (int64_t c = 0; c < d.cols(); ++c) {
-            pd[c] = pg[c] - std::exp(plp[c]) * gsum;
-          }
-        }
-        Accumulate(n->parents[0], d);
-      });
-}
-
-Variable SoftmaxRows(const Variable& a) {
-  const Tensor& x = a.value();
-  Tensor out(x.rows(), x.cols());
-  for (int64_t r = 0; r < x.rows(); ++r) {
-    const float* px = x.row(r);
-    float* po = out.row(r);
-    float mx = -std::numeric_limits<float>::infinity();
-    for (int64_t c = 0; c < x.cols(); ++c) mx = std::max(mx, px[c]);
-    double z = 0.0;
-    for (int64_t c = 0; c < x.cols(); ++c) {
-      po[c] = std::exp(px[c] - mx);
-      z += po[c];
-    }
-    const float inv = static_cast<float>(1.0 / z);
-    for (int64_t c = 0; c < x.cols(); ++c) po[c] *= inv;
-  }
-  Tensor saved = out;
-  return MakeOpNode(
-      std::move(out), {a}, [saved = std::move(saved)](AutogradNode* n) {
-        if (!n->parents[0]->requires_grad) return;
-        // dX = y .* (G - rowsum(G .* y))
-        Tensor d = n->grad;
-        for (int64_t r = 0; r < d.rows(); ++r) {
-          const float* pg = n->grad.row(r);
-          const float* py = saved.row(r);
-          float* pd = d.row(r);
-          float dot = 0.0f;
-          for (int64_t c = 0; c < d.cols(); ++c) dot += pg[c] * py[c];
-          for (int64_t c = 0; c < d.cols(); ++c) {
-            pd[c] = py[c] * (pg[c] - dot);
-          }
-        }
-        Accumulate(n->parents[0], d);
-      });
 }
 
 Variable LogSoftmaxNll(const Variable& logits, std::vector<int64_t> index,
@@ -445,35 +369,6 @@ Variable SumAll(const Variable& a) {
                     });
 }
 
-Variable MeanAll(const Variable& a) {
-  const int64_t n_elem = a.value().numel();
-  GR_CHECK_GT(n_elem, 0);
-  return MakeOpNode(Tensor::Scalar(a.value().Mean()), {a},
-                    [n_elem](AutogradNode* n) {
-                      if (!n->parents[0]->requires_grad) return;
-                      const float g =
-                          n->grad.scalar() / static_cast<float>(n_elem);
-                      n->parents[0]->EnsureGrad();
-                      Tensor& pg = n->parents[0]->grad;
-                      float* p = pg.data();
-                      for (int64_t i = 0; i < pg.numel(); ++i) p[i] += g;
-                    });
-}
-
-Variable RowSumCols(const Variable& a) {
-  Tensor out = RowSum(a.value());
-  return MakeOpNode(std::move(out), {a}, [](AutogradNode* n) {
-    if (!n->parents[0]->requires_grad) return;
-    n->parents[0]->EnsureGrad();
-    Tensor& pg = n->parents[0]->grad;
-    for (int64_t r = 0; r < pg.rows(); ++r) {
-      const float g = n->grad.at(r, 0);
-      float* p = pg.row(r);
-      for (int64_t c = 0; c < pg.cols(); ++c) p[c] += g;
-    }
-  });
-}
-
 Variable ConcatCols(const std::vector<Variable>& parts) {
   GR_CHECK(!parts.empty());
   const int64_t rows = parts[0].value().rows();
@@ -512,25 +407,6 @@ Variable ConcatCols(const std::vector<Variable>& parts) {
                         }
                       }
                     });
-}
-
-Variable GatherCols(const Variable& x, std::vector<int64_t> idx) {
-  const Tensor& v = x.value();
-  GR_CHECK_EQ(v.rows(), static_cast<int64_t>(idx.size()));
-  Tensor out(v.rows(), 1);
-  for (int64_t i = 0; i < v.rows(); ++i) {
-    GR_CHECK(idx[static_cast<size_t>(i)] >= 0 &&
-             idx[static_cast<size_t>(i)] < v.cols());
-    out.at(i, 0) = v.at(i, idx[static_cast<size_t>(i)]);
-  }
-  return MakeOpNode(std::move(out), {x}, [idx = std::move(idx)](AutogradNode* n) {
-    if (!n->parents[0]->requires_grad) return;
-    n->parents[0]->EnsureGrad();
-    Tensor& pg = n->parents[0]->grad;
-    for (int64_t i = 0; i < pg.rows(); ++i) {
-      pg.at(i, idx[static_cast<size_t>(i)]) += n->grad.at(i, 0);
-    }
-  });
 }
 
 Variable ScaleByScalar(const Variable& x, const Variable& s) {
@@ -699,59 +575,12 @@ Variable GatSegmentAttention(const Variable& h, const Variable& sl,
       });
 }
 
-Variable Clamp(const Variable& a, float lo, float hi) {
-  GR_CHECK_LE(lo, hi);
-  return UnaryElementwise(
-      a, [lo, hi](float x) { return std::min(std::max(x, lo), hi); },
-      [lo, hi](float x, float) {
-        return (x >= lo && x <= hi) ? 1.0f : 0.0f;
-      });
-}
-
-Variable Min(const Variable& a, const Variable& b) {
-  GR_CHECK(a.value().SameShape(b.value()));
-  const Tensor& av = a.value();
-  const Tensor& bv = b.value();
-  Tensor out(av.rows(), av.cols());
-  Tensor mask(av.rows(), av.cols());  // 1 where a is selected
-  for (int64_t i = 0; i < out.numel(); ++i) {
-    if (av[i] <= bv[i]) {
-      out[i] = av[i];
-      mask[i] = 1.0f;
-    } else {
-      out[i] = bv[i];
-      mask[i] = 0.0f;
-    }
-  }
-  return MakeOpNode(std::move(out), {a, b},
-                    [mask = std::move(mask)](AutogradNode* n) {
-                      if (n->parents[0]->requires_grad) {
-                        Tensor d = n->grad;
-                        d.MulInPlace(mask);
-                        Accumulate(n->parents[0], d);
-                      }
-                      if (n->parents[1]->requires_grad) {
-                        Tensor d = n->grad;
-                        float* p = d.data();
-                        const float* m = mask.data();
-                        for (int64_t i = 0; i < d.numel(); ++i) {
-                          p[i] *= (1.0f - m[i]);
-                        }
-                        Accumulate(n->parents[1], d);
-                      }
-                    });
-}
-
 Variable CrossEntropy(const Variable& logits, const std::vector<int64_t>& index,
                       const std::vector<int64_t>& labels) {
   // Fused kernel: bitwise the LogSoftmaxRows -> GatherRows -> NllLoss chain
   // without materialising the (m, c) log-probability matrix or touching
   // unselected rows in the backward pass.
   return LogSoftmaxNll(logits, index, labels);
-}
-
-Variable MseLoss(const Variable& a, const Variable& b) {
-  return MeanAll(Square(Sub(a, b)));
 }
 
 }  // namespace ops

@@ -4,8 +4,8 @@
 // node whose backward accumulates into the parents' gradients. Shapes follow
 // the library convention: everything is 2-D, vectors are (n,1) columns,
 // scalars are (1,1). The unfused chains that the fused kernels below are
-// bitwise equal to (GatherRows, NllLoss, SegmentSoftmax, ...) are test
-// oracles and live in tests/test_support.h.
+// bitwise equal to (LogSoftmaxRows, GatherRows, NllLoss, Tanh,
+// SegmentSoftmax, ...) are test oracles and live in tests/test_support.h.
 
 #ifndef GRAPHRARE_TENSOR_OPS_H_
 #define GRAPHRARE_TENSOR_OPS_H_
@@ -28,8 +28,6 @@ namespace ops {
 Variable Add(const Variable& a, const Variable& b);
 /// Elementwise a - b (same shape).
 Variable Sub(const Variable& a, const Variable& b);
-/// Elementwise a * b (same shape).
-Variable Mul(const Variable& a, const Variable& b);
 /// a + bias, bias shape (1, n) broadcast over rows of a (m, n).
 Variable AddBias(const Variable& a, const Variable& bias);
 /// Fused relu(a + bias): one pass forward, and one backward sweep that
@@ -39,15 +37,16 @@ Variable AddBias(const Variable& a, const Variable& bias);
 Variable AddBiasRelu(const Variable& a, const Variable& bias);
 /// c * a for a compile-time constant c.
 Variable Scale(const Variable& a, float c);
-/// -a.
-Variable Neg(const Variable& a);
-/// a^2 elementwise.
-Variable Square(const Variable& a);
 
 // -- Matrix products ------------------------------------------------------
 
 /// Dense matmul (m,k)x(k,n) -> (m,n).
 Variable MatMul(const Variable& a, const Variable& b);
+/// Fused tanh(x w + b), bias shape (1, n): one tape node for the
+/// MatMul -> AddBias -> Tanh chain. Backward forms d = g * (1 - y^2) once
+/// and feeds it to MatMulTransB (d_x), MatMulTransA (d_w) and ColSum (d_b).
+/// Forward and every gradient are bitwise the chain's.
+Variable LinearTanh(const Variable& x, const Variable& w, const Variable& b);
 /// Sparse-dense product y = S x, S fixed (no gradient flows into S).
 /// The CSR matrix is captured by shared_ptr; its transpose is cached inside.
 Variable SpMM(std::shared_ptr<const CsrMatrix> s, const Variable& x);
@@ -56,20 +55,12 @@ Variable SpMM(std::shared_ptr<const CsrMatrix> s, const Variable& x);
 
 Variable Relu(const Variable& a);
 Variable Elu(const Variable& a, float alpha = 1.0f);
-/// Forward through TanhInPlace: bitwise fdlibm tanhf on every host.
-Variable Tanh(const Variable& a);
 Variable Sigmoid(const Variable& a);
-Variable Exp(const Variable& a);
 
 /// Inverted dropout. Identity when !training or p == 0.
 Variable Dropout(const Variable& a, float p, bool training, Rng* rng);
 
 // -- Softmax family -------------------------------------------------------
-
-/// Row-wise log-softmax (numerically stable).
-Variable LogSoftmaxRows(const Variable& a);
-/// Row-wise softmax.
-Variable SoftmaxRows(const Variable& a);
 
 /// Fused log-softmax + NLL over the rows of `logits` selected by `index`
 /// (labels[i] is the class of row index[i]); mean reduction over the
@@ -88,17 +79,11 @@ Variable LogSoftmaxNll(const Variable& logits, std::vector<int64_t> index,
 
 /// Sum of all elements -> scalar.
 Variable SumAll(const Variable& a);
-/// Mean of all elements -> scalar.
-Variable MeanAll(const Variable& a);
-/// Row sums (m,n) -> (m,1).
-Variable RowSumCols(const Variable& a);
 
 // -- Shape / indexing -----------------------------------------------------
 
 /// Horizontal concatenation [a1 | a2 | ...]; all inputs share row count.
 Variable ConcatCols(const std::vector<Variable>& parts);
-/// y[i] = X[i, idx[i]] -> (m,1). One element per row.
-Variable GatherCols(const Variable& x, std::vector<int64_t> idx);
 /// Y = s * X where s is a trainable (1,1) scalar Variable.
 Variable ScaleByScalar(const Variable& x, const Variable& s);
 
@@ -127,23 +112,12 @@ Variable GatSegmentAttention(const Variable& h, const Variable& sl,
                              float negative_slope, float dropout_p,
                              bool training, Rng* rng);
 
-// -- Clipping (PPO) -------------------------------------------------------
-
-/// Elementwise clamp; gradient passes only where lo < a < hi.
-Variable Clamp(const Variable& a, float lo, float hi);
-/// Elementwise minimum of a and b; gradient flows to the smaller input
-/// (ties -> a).
-Variable Min(const Variable& a, const Variable& b);
-
 // -- Convenience ----------------------------------------------------------
 
 /// Cross-entropy over the rows of `logits` selected by `index` with labels
 /// `labels` (labels[i] is the class of row index[i]). Mean reduction.
 Variable CrossEntropy(const Variable& logits, const std::vector<int64_t>& index,
                       const std::vector<int64_t>& labels);
-
-/// Mean squared error between a and b (same shape) -> scalar.
-Variable MseLoss(const Variable& a, const Variable& b);
 
 }  // namespace ops
 }  // namespace tensor

@@ -664,21 +664,5 @@ Tensor ColSum(const Tensor& a) {
       });
 }
 
-Tensor RowSum(const Tensor& a) {
-  Tensor out(a.rows(), 1);
-  float* po = out.data();
-  // Per-row sums are independent (ascending-column order within each row),
-  // so a static ParallelFor cannot change the result.
-  ParallelFor(a.rows(), 512, [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      const float* pr = a.row(r);
-      float acc = 0.0f;
-      for (int64_t c = 0; c < a.cols(); ++c) acc += pr[c];
-      po[r] = acc;
-    }
-  });
-  return out;
-}
-
 }  // namespace tensor
 }  // namespace graphrare

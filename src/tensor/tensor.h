@@ -249,8 +249,6 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b);
 /// row blocks of kColSumRowBlock.
 inline constexpr int64_t kColSumRowBlock = 1024;
 Tensor ColSum(const Tensor& a);
-/// Row sums -> (m, 1).
-Tensor RowSum(const Tensor& a);
 
 }  // namespace tensor
 }  // namespace graphrare

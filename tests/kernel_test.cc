@@ -9,12 +9,13 @@
 //     (tensor::kTransAKBlock / tensor::kColSumRowBlock), so the oracle here
 //     is the spec written as a naive loop.
 //   * Results are invariant to the OpenMP thread count.
-//   * The fused ops (AddBiasRelu, LogSoftmaxNll behind CrossEntropy) match
-//     their unfused chains and pass numeric grad checks.
+//   * The fused ops (AddBiasRelu, LinearTanh, LogSoftmaxNll behind
+//     CrossEntropy) match their unfused chains and pass numeric grad
+//     checks.
 //   * The tensor buffer pool recycles buffers without aliasing live data.
-//   * The owned vector tanh (TanhInPlace, behind ops::Tanh) is bitwise the
-//     scalar fdlibm transcription in tests/tanh_reference.h and within
-//     2.5 ULP of double-precision tanh.
+//   * The owned vector tanh (TanhInPlace, behind ops::LinearTanh) is
+//     bitwise the scalar fdlibm transcription in tests/tanh_reference.h
+//     and within 2.5 ULP of double-precision tanh.
 //   * The dropout masks (ops::Dropout, the GAT attention dropout) and
 //     Adam::Step are bitwise their scalar loops, kept here as references,
 //     and dropout leaves the RNG stream where the Bernoulli loop did.
@@ -222,7 +223,6 @@ TEST(ThreadInvariance, DenseKernels) {
                              "MatMulTransB");
   const Tensor big = TestMatrix(5000, 40, 6);
   ExpectThreadCountInvariant([&] { return ColSum(big); }, "ColSum");
-  ExpectThreadCountInvariant([&] { return RowSum(big); }, "RowSum");
   ExpectThreadCountInvariant(
       [&] {
         Tensor x = big;
@@ -261,11 +261,75 @@ TEST(FusedOps, AddBiasReluMatchesUnfusedChain) {
     Variable chain = ops::Relu(ops::AddBias(a2, b2));
     ExpectSameBits(fused.value(), chain.value(), "AddBiasRelu forward");
 
-    ops::SumAll(ops::Mul(fused, fused)).Backward();
-    ops::SumAll(ops::Mul(chain, chain)).Backward();
+    ops::SumAll(ref::Mul(fused, fused)).Backward();
+    ops::SumAll(ref::Mul(chain, chain)).Backward();
     ExpectSameBits(a1.grad(), a2.grad(), "AddBiasRelu d_input");
     ExpectSameBits(b1.grad(), b2.grad(), "AddBiasRelu d_bias");
   }
+}
+
+/// Bit patterns equal, so +0 and -0 differ (ExpectSameBits uses ==).
+void ExpectSameSignedBits(const Tensor& got, const Tensor& want,
+                          const char* what) {
+  ASSERT_TRUE(got.SameShape(want)) << what;
+  for (int64_t i = 0; i < got.numel(); ++i) {
+    ASSERT_EQ(ref::FloatBits(got[i]), ref::FloatBits(want[i]))
+        << what << " differs at flat index " << i;
+  }
+}
+
+/// LinearTanh against the MatMul -> AddBias -> Tanh chain it fuses, at
+/// the current thread count: forward output and the x, W and b grads bit
+/// for bit. Every fifth row is driven to |x W + b| > 22, where tanh is
+/// exactly +-1 and 1 - y^2 is 0, and the incoming gradient holds -0, +0
+/// and negative entries, so d = g * (1 - y^2) meets both signed zeros.
+void ExpectLinearTanhMatchesChain(int64_t rows) {
+  Rng rng(static_cast<uint64_t>(rows));
+  Tensor xv = Tensor::Randn(rows, 23, &rng);
+  Tensor wv = Tensor::Randn(23, 19, &rng);
+  const Tensor bv = Tensor::Randn(1, 19, &rng);
+  Tensor gv = Tensor::Randn(rows, 19, &rng);
+  for (int64_t j = 0; j < wv.cols(); ++j) wv.at(0, j) = j % 2 ? 1.0f : -1.0f;
+  for (int64_t r = 0; r < rows; ++r) {
+    xv.at(r, 0) = r % 5 != 0 ? 0.0f : (r % 10 == 0 ? 200.0f : -200.0f);
+  }
+  for (int64_t i = 0; i < gv.numel(); i += 4) gv[i] = -0.0f;
+  for (int64_t i = 1; i < gv.numel(); i += 4) gv[i] = 0.0f;
+
+  Variable x1(xv, true), w1(wv, true), b1(bv, true);
+  Variable x2(xv, true), w2(wv, true), b2(bv, true);
+  const Variable g(gv, false);
+  Variable fused = ops::LinearTanh(x1, w1, b1);
+  Variable chain = ref::Tanh(ops::AddBias(ops::MatMul(x2, w2), b2));
+  ExpectSameSignedBits(fused.value(), chain.value(), "LinearTanh forward");
+  for (int64_t r = 0; r < rows; r += 5) {
+    for (int64_t j = 0; j < fused.cols(); ++j) {
+      ASSERT_EQ(std::fabs(fused.value().at(r, j)), 1.0f) << "row " << r;
+    }
+  }
+  ops::SumAll(ref::Mul(fused, g)).Backward();
+  ops::SumAll(ref::Mul(chain, g)).Backward();
+  ExpectSameSignedBits(x1.grad(), x2.grad(), "LinearTanh d_x");
+  ExpectSameSignedBits(w1.grad(), w2.grad(), "LinearTanh d_w");
+  ExpectSameSignedBits(b1.grad(), b2.grad(), "LinearTanh d_b");
+}
+
+TEST(FusedOps, LinearTanhMatchesUnfusedChainAtOneAndFourThreads) {
+#ifdef _OPENMP
+  const int old_threads = omp_get_max_threads();
+  for (const int threads : {1, 4}) {
+    omp_set_num_threads(threads);
+    for (const int64_t rows : {5L, 300L, 1500L}) {
+      SCOPED_TRACE(testing::Message() << threads << " thread(s)");
+      ExpectLinearTanhMatchesChain(rows);
+    }
+  }
+  omp_set_num_threads(old_threads);
+#else
+  for (const int64_t rows : {5L, 300L, 1500L}) {
+    ExpectLinearTanhMatchesChain(rows);
+  }
+#endif
 }
 
 TEST(FusedOps, CrossEntropyMatchesUnfusedChain) {
@@ -283,7 +347,7 @@ TEST(FusedOps, CrossEntropyMatchesUnfusedChain) {
 
   Variable fused = ops::CrossEntropy(l1, index, labels);
   Variable chain =
-      ref::NllLoss(ref::GatherRows(ops::LogSoftmaxRows(l2), index), labels);
+      ref::NllLoss(ref::GatherRows(ref::LogSoftmaxRows(l2), index), labels);
   EXPECT_EQ(fused.value().scalar(), chain.value().scalar());
 
   fused.Backward();
@@ -319,7 +383,7 @@ TEST(FusedOps, AddBiasReluGradCheck) {
   inputs.emplace_back(a, /*requires_grad=*/true);
   inputs.emplace_back(Tensor::Full(1, 5, 0.05f), /*requires_grad=*/true);
   const auto f = [](const std::vector<Variable>& in) {
-    return ops::SumAll(ops::Mul(ops::AddBiasRelu(in[0], in[1]),
+    return ops::SumAll(ref::Mul(ops::AddBiasRelu(in[0], in[1]),
                                 ops::AddBiasRelu(in[0], in[1])));
   };
   for (size_t arg = 0; arg < inputs.size(); ++arg) {
@@ -608,7 +672,7 @@ GatRun RunGat(bool fused, const Tensor& h_val, const Tensor& sl_val,
             : ChainGat(h, sl, sr, src, dst, n, 0.2f, dropout_p, true, rng);
   Rng wr(7);
   Variable weights(Tensor::Randn(n, h_val.cols(), &wr));
-  ops::SumAll(ops::Mul(out, weights)).Backward();
+  ops::SumAll(ref::Mul(out, weights)).Backward();
   return {out.value(), h.grad(), sl.grad(), sr.grad()};
 }
 
@@ -994,11 +1058,16 @@ TEST(VectorTanhTest, WithinTwoAndAHalfUlpOfDoubleTanh) {
   EXPECT_LE(worst, 2.5) << std::hex << "at x = 0x" << worst_bits;
 }
 
-TEST(VectorTanhTest, OpsTanhForwardAndGradient) {
+TEST(VectorTanhTest, LinearTanhForwardAndGradient) {
   Rng rng(83);
   const Tensor x_val = Tensor::Rand(37, 11, &rng, -6.0f, 6.0f);
   Variable x(x_val, /*requires_grad=*/true);
-  Variable y = ops::Tanh(x);
+  // x I + 0 is x exactly, so the node's output is tanh(x) and d_x is
+  // 1 - y^2, both against the scalar fdlibm transcription.
+  Tensor eye(11, 11);
+  for (int64_t i = 0; i < 11; ++i) eye.at(i, i) = 1.0f;
+  Variable y = ops::LinearTanh(x, Variable(eye, false),
+                               Variable(Tensor(1, 11), false));
   ops::SumAll(y).Backward();
   for (int64_t i = 0; i < x_val.numel(); ++i) {
     const float want = ref::TanhfReference(x_val.data()[i]);

@@ -19,6 +19,7 @@ using testing_ref::MaxAbs;
 using testing_ref::HasNonFinite;
 
 namespace ops = tensor::ops;
+namespace ref = testing_ref;
 using tensor::Tensor;
 using tensor::Variable;
 
@@ -84,8 +85,8 @@ TEST(LinearTest, SparseForwardGradMatchesDense) {
   Tensor x = Tensor::FromData(2, 3, {1, 0, 2, 0, 3, 0});
   auto csr = std::make_shared<tensor::CsrMatrix>(tensor::CsrMatrix::FromCoo(
       2, 3, {{0, 0, 1.0f}, {0, 2, 2.0f}, {1, 1, 3.0f}}));
-  ops::SumAll(ops::Square(lin_a.Forward(Variable(x, false)))).Backward();
-  ops::SumAll(ops::Square(lin_b.ForwardSparse(csr))).Backward();
+  ops::SumAll(ref::Square(lin_a.Forward(Variable(x, false)))).Backward();
+  ops::SumAll(ref::Square(lin_b.ForwardSparse(csr))).Backward();
   for (size_t i = 0; i < 2; ++i) {  // weight, bias
     EXPECT_TRUE(AllClose(lin_a.Parameters()[i].grad(),
                          lin_b.Parameters()[i].grad()));
@@ -116,7 +117,7 @@ TEST(GcnConvTest, GradFlowsToWeights) {
   GCNConv conv(4, 3, &rng);
   Rng xr(8);
   Variable x(Tensor::Randn(6, 4, &xr), false);
-  ops::SumAll(ops::Square(conv.Forward(g, LayerInput::Dense(x)))).Backward();
+  ops::SumAll(ref::Square(conv.Forward(g, LayerInput::Dense(x)))).Backward();
   for (const auto& p : conv.Parameters()) {
     EXPECT_TRUE(p.has_grad());
   }
@@ -175,7 +176,7 @@ TEST(GatConvTest, GradFlowsThroughAttention) {
   Rng xr(15);
   Variable x(Tensor::Randn(6, 3, &xr), false);
   ops::SumAll(
-      ops::Square(conv.Forward(g, LayerInput::Dense(x), false, nullptr)))
+      ref::Square(conv.Forward(g, LayerInput::Dense(x), false, nullptr)))
       .Backward();
   for (const auto& p : conv.Parameters()) {
     EXPECT_TRUE(p.has_grad());
@@ -275,7 +276,7 @@ TEST(AdamTest, ReducesQuadraticLoss) {
   Adam adam({w}, opts);
   for (int i = 0; i < 100; ++i) {
     w.ZeroGrad();
-    ops::Square(w).Backward();
+    ref::Square(w).Backward();
     adam.Step();
   }
   EXPECT_NEAR(w.value().scalar(), 0.0f, 0.05f);
@@ -285,7 +286,7 @@ TEST(AdamTest, SkipsParamsWithoutGrad) {
   Variable a(Tensor::Scalar(1.0f), true);
   Variable b(Tensor::Scalar(2.0f), true);
   Adam adam({a, b}, {});
-  ops::Square(a).Backward();  // only a gets a gradient
+  ref::Square(a).Backward();  // only a gets a gradient
   adam.Step();
   EXPECT_EQ(b.value().scalar(), 2.0f);
   EXPECT_NE(a.value().scalar(), 1.0f);

@@ -146,7 +146,7 @@ void ExpectSpMMGradOk(CsrMatrix a, int64_t x_cols) {
       Variable(Tensor::Randn(shared->cols(), x_cols, &rng),
                /*requires_grad=*/true)};
   auto f = [shared](const std::vector<Variable>& in) {
-    return ops::MeanAll(ops::Square(ops::SpMM(shared, in[0])));
+    return ref::MeanAll(ref::Square(ops::SpMM(shared, in[0])));
   };
   const ref::GradCheckResult r = ref::CheckGradient(f, &inputs, 0);
   EXPECT_TRUE(r.ok) << "max_abs_err=" << r.max_abs_err
@@ -197,11 +197,11 @@ TEST(CsrGradTest, SpMMBackwardMatchesDenseMatMulGrad) {
   const Tensor x0 = Tensor::Randn(4, 3, &rng);
 
   Variable x_sparse(x0, /*requires_grad=*/true);
-  ops::MeanAll(ops::Square(ops::SpMM(shared, x_sparse))).Backward();
+  ref::MeanAll(ref::Square(ops::SpMM(shared, x_sparse))).Backward();
 
   Variable x_dense(x0, /*requires_grad=*/true);
   Variable a_const(ToDense(a), /*requires_grad=*/false);
-  ops::MeanAll(ops::Square(ops::MatMul(a_const, x_dense))).Backward();
+  ref::MeanAll(ref::Square(ops::MatMul(a_const, x_dense))).Backward();
 
   EXPECT_TRUE(AllClose(x_sparse.grad(), x_dense.grad(), 1e-6f, 1e-5f));
 }

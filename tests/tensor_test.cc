@@ -184,16 +184,12 @@ TEST(MatMulTest, TransBMatchesExplicitTranspose) {
   EXPECT_TRUE(AllClose(got, expect));
 }
 
-TEST(ReductionTest, ColSumRowSum) {
+TEST(ReductionTest, ColSum) {
   Tensor a = Tensor::FromData(2, 3, {1, 2, 3, 4, 5, 6});
   Tensor cs = ColSum(a);
   EXPECT_EQ(cs.rows(), 1);
   EXPECT_FLOAT_EQ(cs.at(0, 0), 5.0f);
   EXPECT_FLOAT_EQ(cs.at(0, 2), 9.0f);
-  Tensor rs = RowSum(a);
-  EXPECT_EQ(rs.cols(), 1);
-  EXPECT_FLOAT_EQ(rs.at(0, 0), 6.0f);
-  EXPECT_FLOAT_EQ(rs.at(1, 0), 15.0f);
 }
 
 TEST(TensorDeathTest, ScalarOnMatrixAborts) {

@@ -6,6 +6,8 @@
 #include <queue>
 #include <utility>
 
+#include "tensor/vector_math.h"
+
 namespace graphrare {
 namespace testing_ref {
 
@@ -49,6 +51,87 @@ Variable UnaryElementwise(const Variable& a, FwdFn fwd, GradFn dydx) {
 }
 
 }  // namespace
+
+Variable Mul(const Variable& a, const Variable& b) {
+  GR_CHECK(a.value().SameShape(b.value()));
+  Tensor out = a.value();
+  out.MulInPlace(b.value());
+  return MakeOpNode(std::move(out), {a, b}, [](AutogradNode* n) {
+    if (n->parents[0]->requires_grad) {
+      Tensor d = n->grad;
+      d.MulInPlace(n->parents[1]->value);
+      Accumulate(n->parents[0], d);
+    }
+    if (n->parents[1]->requires_grad) {
+      Tensor d = n->grad;
+      d.MulInPlace(n->parents[0]->value);
+      Accumulate(n->parents[1], d);
+    }
+  });
+}
+
+Variable Square(const Variable& a) { return Mul(a, a); }
+
+Variable MeanAll(const Variable& a) {
+  const int64_t n_elem = a.value().numel();
+  GR_CHECK_GT(n_elem, 0);
+  return MakeOpNode(Tensor::Scalar(a.value().Mean()), {a},
+                    [n_elem](AutogradNode* n) {
+                      if (!n->parents[0]->requires_grad) return;
+                      const float g =
+                          n->grad.scalar() / static_cast<float>(n_elem);
+                      n->parents[0]->EnsureGrad();
+                      Tensor& pg = n->parents[0]->grad;
+                      float* p = pg.data();
+                      for (int64_t i = 0; i < pg.numel(); ++i) p[i] += g;
+                    });
+}
+
+Variable Tanh(const Variable& a) {
+  Tensor out = a.value();
+  tensor::TanhInPlace(out.data(), out.numel());
+  return MakeOpNode(std::move(out), {a}, [](AutogradNode* n) {
+    if (!n->parents[0]->requires_grad) return;
+    const float* py = n->value.data();
+    Tensor d = n->grad;
+    float* pd = d.data();
+    for (int64_t i = 0; i < d.numel(); ++i) pd[i] *= 1.0f - py[i] * py[i];
+    Accumulate(n->parents[0], d);
+  });
+}
+
+Variable LogSoftmaxRows(const Variable& a) {
+  const Tensor& x = a.value();
+  Tensor out(x.rows(), x.cols());
+  for (int64_t r = 0; r < x.rows(); ++r) {
+    const float* px = x.row(r);
+    float* po = out.row(r);
+    float mx = -std::numeric_limits<float>::infinity();
+    for (int64_t c = 0; c < x.cols(); ++c) mx = std::max(mx, px[c]);
+    double lse = 0.0;
+    for (int64_t c = 0; c < x.cols(); ++c) lse += std::exp(px[c] - mx);
+    const float log_z = mx + static_cast<float>(std::log(lse));
+    for (int64_t c = 0; c < x.cols(); ++c) po[c] = px[c] - log_z;
+  }
+  Tensor saved = out;
+  return MakeOpNode(
+      std::move(out), {a}, [saved = std::move(saved)](AutogradNode* n) {
+        if (!n->parents[0]->requires_grad) return;
+        // dX = G - softmax(x) * rowsum(G)
+        Tensor d = n->grad;
+        for (int64_t r = 0; r < d.rows(); ++r) {
+          const float* pg = n->grad.row(r);
+          const float* plp = saved.row(r);
+          float* pd = d.row(r);
+          float gsum = 0.0f;
+          for (int64_t c = 0; c < d.cols(); ++c) gsum += pg[c];
+          for (int64_t c = 0; c < d.cols(); ++c) {
+            pd[c] = pg[c] - std::exp(plp[c]) * gsum;
+          }
+        }
+        Accumulate(n->parents[0], d);
+      });
+}
 
 Variable AddScalar(const Variable& a, float c) {
   Tensor out = a.value();

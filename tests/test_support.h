@@ -4,10 +4,10 @@
 // library calls any of it.
 //
 // The library ships the fused kernels (LogSoftmaxNll behind CrossEntropy,
-// GatSegmentAttention); the ops here are the chains those kernels replace,
-// kept as bitwise oracles. They round exactly like the library ops they
-// stand beside because every project target compiles with
-// -ffp-contract=off (see the root CMakeLists.txt).
+// GatSegmentAttention, LinearTanh); the ops here are the chains those
+// kernels replace, kept as bitwise oracles. They round exactly like the
+// library ops they stand beside because every project target compiles
+// with -ffp-contract=off (see the root CMakeLists.txt).
 
 #ifndef GRAPHRARE_TESTS_TEST_SUPPORT_H_
 #define GRAPHRARE_TESTS_TEST_SUPPORT_H_
@@ -28,6 +28,19 @@ namespace testing_ref {
 
 // -- Unfused tape ops ------------------------------------------------------
 
+/// Elementwise a * b (same shape).
+tensor::Variable Mul(const tensor::Variable& a, const tensor::Variable& b);
+/// a^2 elementwise, as Mul(a, a).
+tensor::Variable Square(const tensor::Variable& a);
+/// Mean of all elements -> scalar (Tensor::Mean's compensated sum).
+tensor::Variable MeanAll(const tensor::Variable& a);
+/// Elementwise tanh through TanhInPlace; backward g * (1 - y^2). The
+/// MatMul -> AddBias -> Tanh chain ops::LinearTanh fuses.
+tensor::Variable Tanh(const tensor::Variable& a);
+/// Row-wise log-softmax: float row max, double sum of float exps, log
+/// partition rounded to float. The first link of the chain LogSoftmaxNll
+/// fuses, and the formula the PPO policy heads use.
+tensor::Variable LogSoftmaxRows(const tensor::Variable& a);
 /// a + c elementwise.
 tensor::Variable AddScalar(const tensor::Variable& a, float c);
 tensor::Variable LeakyRelu(const tensor::Variable& a,
